@@ -154,6 +154,11 @@ def complete_with_sink(
     return make_structure(alphabet, state_count + 1, initial, full)
 
 
+# The loop key of a visited set that lies inside no Muller table entry: no
+# set containing it is accepted, so all such sets are alike.
+TOP = "⊤"
+
+
 class Acceptance:
     """Base class for the five acceptance conditions."""
 
@@ -162,6 +167,13 @@ class Acceptance:
     def accepts_loop(
         self, states: frozenset[int], transitions: frozenset[Transition]
     ) -> bool:
+        raise NotImplementedError
+
+    def loop_key(self, states: frozenset[int], transitions: frozenset[Transition]):
+        """What accepts_loop can observe of a set of visited states and
+        transitions.  accepts_loop depends on the sets only through the key,
+        and the key of a union is determined by the keys of its parts.
+        """
         raise NotImplementedError
 
     def referenced_states(self) -> set[int]:
@@ -179,6 +191,9 @@ class Buchi(Acceptance):
     def accepts_loop(self, states, transitions):
         return bool(states & self.accepting)
 
+    def loop_key(self, states, transitions):
+        return bool(states & self.accepting)
+
     def referenced_states(self):
         return set(self.accepting)
 
@@ -190,6 +205,9 @@ class CoBuchi(Acceptance):
 
     def accepts_loop(self, states, transitions):
         return not (states & self.avoided)
+
+    def loop_key(self, states, transitions):
+        return bool(states & self.avoided)
 
     def referenced_states(self):
         return set(self.avoided)
@@ -205,6 +223,9 @@ class Parity(Acceptance):
     def accepts_loop(self, states, transitions):
         return min(self.colors[q] for q in states) % 2 == 1
 
+    def loop_key(self, states, transitions):
+        return min((self.colors[q] for q in states), default=None)
+
     def referenced_states(self):
         return set(range(len(self.colors)))
 
@@ -216,6 +237,9 @@ class MullerStates(Acceptance):
 
     def accepts_loop(self, states, transitions):
         return states in self.table
+
+    def loop_key(self, states, transitions):
+        return states if any(states <= e for e in self.table) else TOP
 
     def referenced_states(self):
         out = set()
@@ -231,6 +255,9 @@ class MullerTransitions(Acceptance):
 
     def accepts_loop(self, states, transitions):
         return transitions in self.table
+
+    def loop_key(self, states, transitions):
+        return transitions if any(transitions <= e for e in self.table) else TOP
 
     def referenced_states(self):
         out = set()

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .congruence import rightcon_quotient, shortest_word_to
 from .errors import CapacityExceeded
-from .model import Acceptor, LassoWord, MullerTransitions, Transition
+from .model import Acceptor, LassoWord, Transition
+from .parity import ParityView, find_discrepancy
 from .semantics import accepts
 
 MONOID_CAPACITY = 200000
@@ -75,15 +76,19 @@ def profile_of_word(structure, word) -> Profile:
 class ProfileMonoid:
     """Profiles of all nonempty words, closed under composition.
 
-    Tracking of visited transition sets is folded into the element key only
-    when the acceptance needs it; otherwise profiles differing just there
-    are merged (shortest representative kept).
+    Elements are keyed on each source's target and the acceptance's
+    `loop_key` of that source's visited states and transitions: the part
+    of the visited sets that acceptance can observe (a hit bit for Büchi
+    and co-Büchi, the minimum colour for parity, the set itself or TOP for
+    Muller).  The key is a congruence for `compose`, and `omega_accept`
+    depends on nothing else, so words with equal keys are merged; the
+    breadth-first search keeps the shortlex-least word of each as its
+    representative.
     """
 
     def __init__(self, acceptor: Acceptor, capacity: int = MONOID_CAPACITY):
         self.acceptor = acceptor
         structure = acceptor.structure
-        self.track_transitions = isinstance(acceptor.acceptance, MullerTransitions)
         self.identity = identity_profile(structure.state_count)
         self.generators = [
             letter_profile(structure, sym) for sym in structure.alphabet.symbols
@@ -110,9 +115,8 @@ class ProfileMonoid:
                     queue.append(c)
 
     def key(self, p: Profile):
-        if self.track_transitions:
-            return (p.targets, p.visited_states, p.visited_transitions)
-        return (p.targets, p.visited_states)
+        loop_key = self.acceptor.acceptance.loop_key
+        return p.targets, tuple(map(loop_key, p.visited_states, p.visited_transitions))
 
     def element_index(self, p: Profile) -> int:
         return self.by_key[self.key(p)]
@@ -276,7 +280,7 @@ def _syntactic_classes(acceptor: Acceptor, monoid: ProfileMonoid):
                 sigs[s] = len(sigs)
             new[i] = sigs[s]
         if len(sigs) == len(set(cls)):
-            return new, right, left
+            return new
         cls = new
 
 
@@ -284,22 +288,16 @@ def is_non_counting(acceptor: Acceptor):
     """Insensitivity to pumping v^n vs v^{n+1} in every context.
 
     Decided as aperiodicity of the two-context quotient of the profile
-    monoid.  Returns (verdict, witness or None); the witness is a concrete
-    (u, v, w-lasso, n) with differing membership, found by bounded search.
+    monoid.  Returns (verdict, witness or None).  On "counting" the witness
+    is a concrete (u, v, w-lasso, n) where u.v^n.w and u.v^{n+1}.w differ
+    in membership, built for the shortest v whose powers cycle in
+    the quotient.  It pumps a finite prefix only, so it is None when v
+    counts only inside the periodic part, as in u.(v^n.w)^omega.
     """
     monoid = profile_monoid(acceptor)
-    cls, right, left = _syntactic_classes(acceptor, monoid)
+    cls = _syntactic_classes(acceptor, monoid)
     els = monoid.elements
     n_cls = len(set(cls))
-
-    # class representative element (shortest word) and class product map
-    rep_el: dict[int, int] = {}
-    for i, e in enumerate(els):
-        c = cls[i]
-        if c not in rep_el or len(e.representative) < len(
-            els[rep_el[c]].representative
-        ):
-            rep_el[c] = i
 
     def el_mult(i, j):
         return monoid.element_index(compose(els[i], els[j]))
@@ -311,50 +309,45 @@ def is_non_counting(acceptor: Acceptor):
         for _ in range(n_cls + 1):
             cur = el_mult(cur, i)
             if cls[cur] == cls[powers[-1]]:
-                return None
+                return False
             powers.append(cur)
-            for k, old in enumerate(powers[:-1]):
-                if cls[old] == cls[cur]:
-                    return k + 1  # first n with class(v^n) reachable in a cycle
-        return None
+            if any(cls[old] == cls[cur] for old in powers[:-1]):
+                return True
+        return False
 
-    bad = None
-    for i in sorted(range(len(els)), key=lambda i: (len(els[i].representative), els[i].representative)):
-        hit = cls_power_periodic(i)
-        if hit is not None:
-            bad = (i, hit)
-            break
-    if bad is None:
+    by_word = sorted(range(len(els)), key=lambda i: (len(els[i].representative), els[i].representative))
+    v_idx = next((i for i in by_word if cls_power_periodic(i)), None)
+    if v_idx is None:
         return True, None
-
-    v_idx, _ = bad
-    witness = _counting_witness(acceptor, monoid, v_idx, n_cls)
-    return False, witness
+    return False, _counting_witness(acceptor, els[v_idx].representative)
 
 
-def _counting_witness(acceptor: Acceptor, monoid: ProfileMonoid, v_idx: int, n_cls: int):
-    """Search small contexts u, w and an exponent n with
-    u v^n w in L  xor  u v^{n+1} w in L, verified by direct simulation."""
-    els = monoid.elements
-    v = els[v_idx].representative
-    by_len = sorted(
-        range(len(els)), key=lambda i: (len(els[i].representative), els[i].representative)
-    )
-    prefixes = [()] + [els[i].representative for i in by_len[:24]]
-    mids = [()] + [els[i].representative for i in by_len[:24]]
-    cycles = [els[i].representative for i in by_len[:24]]
-    budget = 400000
-    for n in range(1, n_cls + 2):
-        for u in prefixes:
-            for b in mids:
-                for c in cycles:
-                    budget -= 1
-                    if budget <= 0:
-                        return None
-                    spoke_n = u + v * n + b
-                    spoke_n1 = u + v * (n + 1) + b
-                    a1 = accepts(acceptor, LassoWord(spoke_n, c))
-                    a2 = accepts(acceptor, LassoWord(spoke_n1, c))
-                    if a1 != a2:
-                        return (u, v, LassoWord(b, c), n)
+def _counting_witness(acceptor: Acceptor, v):
+    """(u, v, w, n) with u.v^n.w and u.v^{n+1}.w of different membership,
+    or None if no such witness exists for this v.
+
+    For each reachable state q in breadth-first order and n = 1..|Q|+1,
+    the states q.v^n and q.v^{n+1} are compared exactly; the sequence q.v^n
+    is periodic within |Q| + 1 steps, so no larger n can give a new pair.
+    """
+    structure = acceptor.structure
+    view = ParityView(acceptor)
+    checked = set()
+    order = [structure.initial]
+    for q in order:
+        for t in structure.delta[q]:
+            if t not in order:
+                order.append(t)
+    for q in order:
+        p = structure.run(q, v)
+        for n in range(1, structure.state_count + 2):
+            p_next = structure.run(p, v)
+            pair = (min(p, p_next), max(p, p_next))
+            if p != p_next and pair not in checked:
+                checked.add(pair)
+                w = find_discrepancy(view, view, p, p_next)
+                if w is not None:
+                    u = shortest_word_to(structure, structure.initial, q)
+                    return u, v, w, n
+            p = p_next
     return None

@@ -259,6 +259,38 @@ def oracle_respective_bruteforce(acceptor, max_x: int = 3, max_u: int = 4):
     return True, None
 
 
+# ------------------------------------------------- prefix pumping brute force
+
+
+def prefix_pumping_flip(
+    acceptor, max_u: int = 2, max_v: int = 3, max_spoke: int = 2, max_cycle: int = 3
+):
+    """Bounded search for (u, v, w, n) with u.v^n.w and u.v^(n+1).w of
+    different membership, n = 1..|Q|+1; None if every bounded one agrees.
+
+    Two states are told apart by the verdicts of every bounded lasso read
+    from them, so the search only runs the words u.v^n.
+    """
+    structure = acceptor.structure
+    alpha = acceptor.alphabet
+    ws = [
+        LassoWord(spoke, cycle)
+        for spoke in words_up_to(alpha, 0, max_spoke)
+        for cycle in words_up_to(alpha, 1, max_cycle)
+    ]
+    sigs = [tuple(accepts(acceptor, w, q) for w in ws) for q in range(structure.state_count)]
+    for u in words_up_to(alpha, 0, max_u):
+        for v in words_up_to(alpha, 1, max_v):
+            p = structure.run(structure.initial, u + v)
+            for n in range(1, structure.state_count + 2):
+                p_next = structure.run(p, v)
+                if sigs[p] != sigs[p_next]:
+                    w = next(w for w, a, b in zip(ws, sigs[p], sigs[p_next]) if a != b)
+                    return u, v, w, n
+                p = p_next
+    return None
+
+
 # -------------------------------------------------------- memoized suites
 #
 # Shared between test_properties.py and test_acceptance.py so the 500-case

@@ -14,12 +14,20 @@ from rightcon import (
     lasso,
     omega_accept,
     profile_monoid,
+    random_dma,
     respective_pair_check,
 )
 from rightcon.errors import CapacityExceeded
 from rightcon.profiles import compose, identity_profile, profile_of_word
 
-from helpers import random_acceptor, words_up_to
+from helpers import (
+    ACCEPTANCE_KINDS,
+    all_fixtures,
+    oracle_respective_bruteforce,
+    prefix_pumping_flip,
+    random_acceptor,
+    words_up_to,
+)
 
 EXPECTED_RESPECTIVE = {
     "fig3_M": False, "fig3_B": False, "fig3_C": False, "fig3_Mprime": True,
@@ -86,6 +94,36 @@ class TestProfileMonoid:
         with pytest.raises(CapacityExceeded):
             profile_monoid(fixture("fig5_Dbad"), capacity=2)
 
+    def test_reduced_key_is_sound(self):
+        # canonical elements stand for their words in loops and products:
+        # a key that merged words behaving differently would fail here
+        rng = random.Random("profiles/key")
+        for kind in ACCEPTANCE_KINDS:
+            for _ in range(8):
+                a = random_acceptor(rng, max_states=4, kinds=(kind,))
+                s = a.structure
+                m = profile_monoid(a)
+                syms = s.alphabet.symbols
+                for _ in range(10):
+                    x = tuple(rng.choice(syms) for _ in range(rng.randint(1, 5)))
+                    y = tuple(rng.choice(syms) for _ in range(rng.randint(1, 5)))
+                    cx = m.canonical(profile_of_word(s, x))
+                    cy = m.canonical(profile_of_word(s, y))
+                    for q in range(s.state_count):
+                        got = omega_accept(a, cx, cy, q)
+                        assert got == accepts(a, LassoWord(x, y), q), (kind, x, y, q)
+                    assert m.key(compose(cx, cy)) == m.key(profile_of_word(s, x + y))
+
+    def test_transition_muller_monoid_stays_small(self):
+        # keyed on full visited-transition sets, this acceptor's monoid
+        # passed a gigabyte before raising CapacityExceeded
+        rng = random.Random(5)
+        for i in range(40):
+            a = random_acceptor(rng, 6, kinds=(ACCEPTANCE_KINDS[i % 5],))
+        assert a.acceptance.kind == "tmuller"
+        assert len(profile_monoid(a).elements) < 1000
+        assert is_respective(a)[0] == oracle_respective_bruteforce(a)[0]
+
 
 class TestOmegaAccept:
     def test_matches_lasso_membership(self):
@@ -150,17 +188,26 @@ class TestNonCounting:
             assert (witness is None) == want, name
 
     def test_witness_semantics(self):
-        # witness (u, v, w, n): pumping v once more at power n flips membership
-        for name in ("aab", "fig3_M", "fig6_P"):
-            a = fixture(name)
-            _, (u, v, w, n) = is_non_counting(a)
-            before = LassoWord(tuple(u) + tuple(v) * n + w.spoke, w.cycle)
-            after = LassoWord(tuple(u) + tuple(v) * (n + 1) + w.spoke, w.cycle)
-            assert accepts(a, before) != accepts(a, after), name
+        # a witness (u, v, w, n) exactly when counting: pumping v once more
+        # at power n flips membership
+        for name, a in all_fixtures():
+            got, witness = is_non_counting(a)
+            assert (witness is None) == got, name
+            if witness is not None:
+                u, v, w, n = witness
+                before = LassoWord(tuple(u) + tuple(v) * n + w.spoke, w.cycle)
+                after = LassoWord(tuple(u) + tuple(v) * (n + 1) + w.spoke, w.cycle)
+                assert accepts(a, before) != accepts(a, after), name
+
+    def test_no_witness_when_counting_only_in_the_period(self):
+        # these count inside u.(v^n.w)^omega; no prefix pumping flips
+        assert prefix_pumping_flip(fixture("aab")) is not None
+        for seed in ("nc/6", "nc/26"):
+            a = random_dma(4, seed)
+            assert is_non_counting(a) == (False, None), seed
+            assert prefix_pumping_flip(a) is None, seed
 
     def test_noncounting_implies_respective_on_fixtures(self):
-        from helpers import all_fixtures
-
         for name, a in all_fixtures():
             if is_non_counting(a)[0]:
                 assert is_respective(a)[0], name
