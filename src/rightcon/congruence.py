@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 from .dfa import Dfa
 from .errors import NotMuller, NotTrivial
+from .graph import bfs_order, bfs_path
 from .loops import (
     DEFAULT_CAPACITY,
-    is_db as _is_db,
-    is_dc as _is_dc,
-    is_weak as _is_weak,
+    _chain_flags,
+    loop_table,
     loopable_state_sets,
     loopable_transition_sets,
 )
@@ -34,32 +34,16 @@ from .semantics import accepts
 _BATTERY_SEED = 982451653
 
 
-def reroot(acceptor: Acceptor, state: int) -> Acceptor:
-    return Acceptor(acceptor.structure.reroot(state), acceptor.acceptance)
-
-
 def shortest_word_to(structure: TransitionStructure, src: int, dst: int):
     """BFS word from src to dst in symbol order; None if unreachable."""
     if src == dst:
         return ()
-    prev = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for i, sym in enumerate(structure.alphabet.symbols):
-            v = structure.delta[u][i]
-            if v not in prev:
-                prev[v] = (u, sym)
-                if v == dst:
-                    out = []
-                    cur = v
-                    while prev[cur] is not None:
-                        pu, psym = prev[cur]
-                        out.append(psym)
-                        cur = pu
-                    return tuple(reversed(out))
-                queue.append(v)
-    return None
+    path = bfs_path(
+        src,
+        lambda u: zip(structure.alphabet.symbols, structure.delta[u]),
+        lambda u, sym, v: v == dst,
+    )
+    return None if path is None else tuple(sym for _, sym, _ in path)
 
 
 def closed_walk_covering(
@@ -69,7 +53,9 @@ def closed_walk_covering(
 ) -> tuple[str, ...]:
     """Closed walk from start traversing every transition of the set.
 
-    The set must be strongly connected and contain start.
+    The set must be strongly connected and contain start.  The walk takes
+    the shortest path to the nearest unused transition until none is left,
+    then the shortest path back to start.
     """
     adj: dict[int, list[tuple[str, int]]] = {}
     for (p, sym, q) in sorted(transitions):
@@ -77,52 +63,15 @@ def closed_walk_covering(
     remaining = set(transitions)
     walk: list[str] = []
     cur = start
-
-    def bfs_path(src, want_unused):
-        # shortest path inside the set; if want_unused, stop at the first
-        # reachable unused transition and include it
-        prev = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for sym, v in adj.get(u, ()):
-                if want_unused and (u, sym, v) in remaining:
-                    path = []
-                    cur2 = u
-                    while prev[cur2] is not None:
-                        pu, psym, pv = prev[cur2]
-                        path.append((pu, psym, pv))
-                        cur2 = pu
-                    path.reverse()
-                    path.append((u, sym, v))
-                    return path
-                if v not in prev:
-                    prev[v] = (u, sym, v)
-                    if not want_unused and v == want_target[0]:
-                        path = []
-                        cur2 = v
-                        while prev[cur2] is not None:
-                            pu, psym, pv = prev[cur2]
-                            path.append((pu, psym, pv))
-                            cur2 = pu
-                        path.reverse()
-                        return path
-                    queue.append(v)
-        return None
-
-    want_target = [None]
-    while remaining:
-        path = bfs_path(cur, True)
-        for (p, sym, q) in path:
-            walk.append(sym)
-            remaining.discard((p, sym, q))
-            cur = q
-    if cur != start:
-        want_target[0] = start
-        path = bfs_path(cur, False)
-        for (p, sym, q) in path:
-            walk.append(sym)
-            cur = q
+    while remaining or cur != start:
+        if remaining:
+            goal = lambda *t: t in remaining
+        else:
+            goal = lambda u, sym, v: v == start
+        for t in bfs_path(cur, lambda u: adj.get(u, ()), goal):
+            walk.append(t[1])
+            remaining.discard(t)
+            cur = t[2]
     return tuple(walk)
 
 
@@ -162,18 +111,7 @@ def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
     exact product check, whose witnesses feed back into the refinement.
     """
     structure = acceptor.structure
-    order = [structure.initial]
-    seen = {structure.initial}
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for t in structure.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-
-    blocks = [list(order)]
+    blocks = [bfs_order(structure.initial, structure.delta.__getitem__)]
 
     def refine_by(lasso: LassoWord):
         nonlocal blocks
@@ -363,6 +301,10 @@ class Classification:
     quotient: Quotient
 
 
+def _size_then_sorted(s) -> tuple:
+    return len(s), sorted(s)
+
+
 def _loop_lasso(
     structure: TransitionStructure, states: frozenset[int], trans: frozenset[Transition]
 ) -> LassoWord:
@@ -422,15 +364,23 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     def fingerprint_consistent(key_fn, flag: str):
         groups: dict = {}
         for s, t in tsets:
-            verdict = acc.accepts_loop(s, t)
-            groups.setdefault(key_fn(s, t), {}).setdefault(verdict, (s, t))
-        for key, by_verdict in groups.items():
-            if len(by_verdict) > 1:
-                pos = _loop_lasso(structure, *by_verdict[True])
-                neg = _loop_lasso(structure, *by_verdict[False])
-                counterexamples[flag] = ("conflict", pos, neg)
-                return False, groups
-        return True, groups
+            groups.setdefault(key_fn(s, t), set()).add(acc.accepts_loop(s, t))
+        conflicts = [k for k, verdicts in groups.items() if len(verdicts) > 1]
+        if not conflicts:
+            return True, groups
+        # the least conflicting key and its least loop sets, so that the
+        # counterexample does not depend on the enumeration's hash order
+        key = min(conflicts, key=sorted)
+        least: dict = {}
+        for s, t in tsets:
+            if key_fn(s, t) == key:
+                v = acc.accepts_loop(s, t)
+                if v not in least or _size_then_sorted(t) < _size_then_sorted(least[v][1]):
+                    least[v] = (s, t)
+        pos = _loop_lasso(structure, *least[True])
+        neg = _loop_lasso(structure, *least[False])
+        counterexamples[flag] = ("conflict", pos, neg)
+        return False, groups
 
     def t_key(s, t):
         return frozenset((proj[p], sym, proj[q]) for (p, sym, q) in t)
@@ -460,9 +410,10 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         counterexamples.setdefault("IB", ("requires", "IM"))
         counterexamples.setdefault("IC", ("requires", "IM"))
     else:
-        # union-closure of each polarity family over the quotient loop table
+        # union-closure of each polarity family over the quotient loop table;
+        # the least covered set is the counterexample, whatever the hash order
         ip_ok = True
-        for s, v in table.items():
+        for s, v in sorted(table.items(), key=lambda e: _size_then_sorted(e[0])):
             covered = all(
                 any(q in s2 and s2 <= s and table[s2] != v for s2 in table)
                 for q in s
@@ -503,9 +454,7 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             counterexamples.setdefault("IB", ("requires", "IP"))
             counterexamples.setdefault("IC", ("requires", "IP"))
 
-    flags["weak"] = _is_weak(acceptor, capacity)
-    flags["db"] = _is_db(acceptor, capacity)
-    flags["dc"] = _is_dc(acceptor, capacity)
+    flags.update(_chain_flags(loop_table(acc, tsets)))
 
     n = quotient.structure.state_count
     return Classification(n, n == 1, flags, certificates, counterexamples, quotient)

@@ -42,17 +42,3 @@ class Dfa:
                 if t is not None:
                     queue.append((t, word + (sym,)))
         return out
-
-    def is_empty(self) -> bool:
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            s = queue.popleft()
-            if s in self.accepting:
-                return False
-            for sym in self.alphabet.symbols:
-                t = self.transitions.get((s, sym))
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return True

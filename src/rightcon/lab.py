@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 from .congruence import partition_language_equivalent
 from .errors import SamplingExhausted
-from .fixtures import fixture, fixture_names, wagner_family  # re-exported
-from .loops import _tarjan_sccs
-from .model import Acceptor, Alphabet, LassoWord, MullerStates, TransitionStructure, validate
+from .graph import sccs
+from .model import Acceptor, Alphabet, MullerStates, TransitionStructure, validate
 from .parity import ParityView, find_discrepancy
-from .semantics import accepts
+from .semantics import accepts_indices
 
 _RETRY_BOUND = 100000
 
@@ -19,7 +18,7 @@ _SYMBOL_POOL = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _strongly_connected(structure: TransitionStructure, states: frozenset) -> bool:
-    comps = _tarjan_sccs(states, lambda q: structure.delta[q])
+    comps = sccs(states, structure.delta.__getitem__)
     if len(comps) != 1:
         return False
     if len(states) == 1:
@@ -119,40 +118,6 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
     pair_equivalent: dict[frozenset, bool] = {}
     warmup = 1000
 
-    delta = structure.delta
-    muller_table = (
-        acceptor.acceptance.table
-        if isinstance(acceptor.acceptance, MullerStates)
-        else None
-    )
-
-    def member_from(q: int, spoke_idx, cycle_idx) -> bool:
-        if muller_table is None:
-            w = LassoWord(
-                tuple(symbols[i] for i in spoke_idx),
-                tuple(symbols[i] for i in cycle_idx),
-            )
-            return accepts(acceptor, w, q)
-        for i in spoke_idx:
-            q = delta[q][i]
-        boundary = {q: 0}
-        history = []
-        cur = q
-        for rep in range(n + 1):
-            states = []
-            for i in cycle_idx:
-                cur = delta[cur][i]
-                states.append(cur)
-            history.append(states)
-            entry = boundary.get(cur)
-            if entry is not None:
-                inf: set = set()
-                for ss in history[entry:]:
-                    inf.update(ss)
-                return frozenset(inf) in muller_table
-            boundary[cur] = rep + 1
-        raise AssertionError("cycle boundary state failed to repeat")
-
     k = len(symbols)
     for step in range(samples):
         if all(len(b) == 1 for b in blocks):
@@ -169,7 +134,7 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
                 continue
             groups: dict = {}
             for q in b:
-                groups.setdefault(member_from(q, spoke_idx, cycle_idx), []).append(q)
+                groups.setdefault(accepts_indices(acceptor, q, spoke_idx, cycle_idx), []).append(q)
             new.extend(groups.values())
         blocks = new
         if step >= warmup and step % 1000 == 0:

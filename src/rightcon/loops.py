@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, NotWeak
+from .graph import bfs_order, sccs
 from .model import (
+    Acceptance,
     Acceptor,
     Buchi,
     CoBuchi,
@@ -21,56 +23,6 @@ from .model import (
 )
 
 DEFAULT_CAPACITY = 1 << 20
-
-
-def _tarjan_sccs(vertices, succ):
-    """Maximal SCCs of the graph restricted to `vertices` (iterative Tarjan)."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in vertices:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-    return sccs
 
 
 @dataclass(frozen=True)
@@ -144,12 +96,12 @@ def loopable_state_sets(
             return
         for v in component:
             rest = component - {v}
-            for sub in _tarjan_sccs(rest, succ):
+            for sub in sccs(rest, succ):
                 sub_edges = _internal_transitions(structure, sub)
                 if _loopable(sub, sub_edges):
                     visit(sub)
 
-    for comp in _tarjan_sccs(reachable, succ):
+    for comp in sccs(reachable, succ):
         edges = _internal_transitions(structure, comp)
         if _loopable(comp, edges):
             visit(comp)
@@ -174,7 +126,7 @@ def loopable_transition_sets(
             vertices.add(q)
             adj.setdefault(p, []).append(q)
         comps = []
-        for comp in _tarjan_sccs(frozenset(vertices), lambda v: adj.get(v, ())):
+        for comp in sccs(frozenset(vertices), lambda v: adj.get(v, ())):
             inner = frozenset(t for t in edges if t[0] in comp and t[2] in comp)
             if inner and _loopable(comp, inner):
                 comps.append((comp, inner))
@@ -198,7 +150,7 @@ def loopable_transition_sets(
     def succ(q):
         return structure.delta[q]
 
-    for comp in _tarjan_sccs(reachable, succ):
+    for comp in sccs(reachable, succ):
         edges = _internal_transitions(structure, comp)
         if _loopable(comp, edges):
             visit(comp, edges)
@@ -207,20 +159,25 @@ def loopable_transition_sets(
 
 def loopable_sets(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> LoopTable:
     """Full loop table of an acceptor, keyed per its acceptance kind."""
-    acc = acceptor.acceptance
-    if isinstance(acc, MullerTransitions):
+    if isinstance(acceptor.acceptance, MullerTransitions):
         raw = loopable_transition_sets(acceptor.structure, capacity)
-        keyed_by = "transitions"
-        key = lambda s, t: t
     else:
         raw = loopable_state_sets(acceptor.structure, capacity)
-        keyed_by = "states"
-        key = lambda s, t: s
+    return loop_table(acceptor.acceptance, raw)
+
+
+def loop_table(acc: Acceptance, raw) -> LoopTable:
+    """Loop table of `acc` over enumerated (states, transitions) pairs.
+
+    For state-based acceptance the table is keyed by state set, so `raw`
+    may also be the transition sets: their state sets are the loopable
+    state sets, and the verdict does not read the transitions.
+    """
+    keyed_by = "transitions" if isinstance(acc, MullerTransitions) else "states"
     entries = {}
     for states, trans in raw:
-        entries[key(states, trans)] = LoopEntry(
-            states, trans, acc.accepts_loop(states, trans)
-        )
+        key = trans if keyed_by == "transitions" else states
+        entries[key] = LoopEntry(states, trans, acc.accepts_loop(states, trans))
     return LoopTable(keyed_by, entries)
 
 
@@ -235,20 +192,35 @@ def _chain_pairs(table: LoopTable):
                 yield a, b
 
 
+def _chain_flags(table: LoopTable) -> dict[str, bool]:
+    """weak, db and dc of a loop table from one pass over its chains.
+
+    db: no superset of an accepting loopable set is rejecting; dc: no
+    superset of a rejecting one is accepting; weak: both.
+    """
+    db = dc = True
+    for a, b in _chain_pairs(table):
+        if a.accepting != b.accepting:
+            if a.accepting:
+                db = False
+            else:
+                dc = False
+            if not (db or dc):
+                break
+    return {"weak": db and dc, "db": db, "dc": dc}
+
+
 def is_weak(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
-    table = loopable_sets(acceptor, capacity)
-    return all(a.accepting == b.accepting for a, b in _chain_pairs(table))
+    return _chain_flags(loopable_sets(acceptor, capacity))["weak"]
 
 
 def is_db(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
     """No superset of an accepting loopable set may be rejecting."""
-    table = loopable_sets(acceptor, capacity)
-    return not any(a.accepting and not b.accepting for a, b in _chain_pairs(table))
+    return _chain_flags(loopable_sets(acceptor, capacity))["db"]
 
 
 def is_dc(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
-    table = loopable_sets(acceptor, capacity)
-    return not any(not a.accepting and b.accepting for a, b in _chain_pairs(table))
+    return _chain_flags(loopable_sets(acceptor, capacity))["dc"]
 
 
 @dataclass(frozen=True)
@@ -290,33 +262,14 @@ def alternation_measure(
     # from another start's SCC
     structure = acceptor.structure
     reachable = structure.reachable_states()
-    sccs = _tarjan_sccs(reachable, lambda q: structure.delta[q])
-    scc_of = {}
-    for idx, comp in enumerate(sccs):
-        for q in comp:
-            scc_of[q] = idx
+    comps = sccs(reachable, structure.delta.__getitem__)
+    scc_of = {q: idx for idx, comp in enumerate(comps) for q in comp}
     start_sccs = {scc_of[next(iter(ents[i].states))] for i in starts}
-
-    def scc_reaches(src: int, dst: int) -> bool:
-        if src == dst:
-            return False
-        seen = set(sccs[src])
-        stack = list(sccs[src])
-        while stack:
-            q = stack.pop()
-            for t in structure.delta[q]:
-                if t not in seen:
-                    if scc_of[t] == dst:
-                        return True
-                    seen.add(t)
-                    stack.append(t)
-        return False
-
-    minimal = {
-        s
+    below = {
+        s: {scc_of[q] for q in bfs_order(min(comps[s]), structure.delta.__getitem__)} - {s}
         for s in start_sccs
-        if not any(scc_reaches(other, s) for other in start_sccs if other != s)
     }
+    minimal = {s for s in start_sccs if not any(s in below[o] for o in start_sccs)}
     verdicts = {ents[i].accepting for i in starts if scc_of[next(iter(ents[i].states))] in minimal}
     if verdicts == {True}:
         polarity = "+"
@@ -340,9 +293,8 @@ def alternation_measure(
 
 def _weak_union(acceptor: Acceptor, want_accepting: bool, capacity: int) -> frozenset[int]:
     table = loopable_sets(acceptor, capacity)
-    for a, b in _chain_pairs(table):
-        if a.accepting != b.accepting:
-            raise NotWeak("acceptance alternates along an inclusion chain")
+    if not _chain_flags(table)["weak"]:
+        raise NotWeak("acceptance alternates along an inclusion chain")
     out: set[int] = set()
     for e in table.entries.values():
         if e.accepting == want_accepting:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .graph import bfs_path, sccs
 from .model import Acceptor, LassoWord, MullerTransitions
 from .semantics import accepts
 
@@ -175,60 +176,6 @@ class ParityView:
         return result
 
 
-def _sccs_of_edges(edges):
-    """Maximal SCCs given (src, dst) pairs; returns list of vertex frozensets."""
-    adj: dict = {}
-    vertices: dict = {}  # insertion-ordered for run-to-run determinism
-    for s, t in edges:
-        vertices.setdefault(s)
-        vertices.setdefault(t)
-        adj.setdefault(s, []).append(t)
-    index: dict = {}
-    low: dict = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-    return sccs
-
-
 def find_discrepancy(
     view_a: ParityView,
     view_b: ParityView,
@@ -267,30 +214,12 @@ def find_discrepancy(
             cur = prev
         return tuple(reversed(out))
 
-    def path_within(allowed_edges, src, dst):
-        """BFS path (list of (sym, next)) inside the filtered edge set."""
+    def symbols_between(adj, src, dst):
+        """Symbols of a shortest path from src to dst in the edge lists adj."""
         if src == dst:
             return []
-        adj: dict = {}
-        for (u, sym, v, _, _) in allowed_edges:
-            adj.setdefault(u, []).append((sym, v))
-        prev = {src: None}
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            for sym, v in adj.get(u, ()):
-                if v not in prev:
-                    prev[v] = (u, sym)
-                    if v == dst:
-                        out = []
-                        cur = dst
-                        while prev[cur] is not None:
-                            pu, psym = prev[cur]
-                            out.append((psym, cur))
-                            cur = pu
-                        return list(reversed(out))
-                    q.append(v)
-        return None
+        steps = bfs_path(src, lambda u: adj.get(u, ()), lambda u, sym, v: v == dst)
+        return [sym for _, sym, _ in steps]
 
     pa_values = sorted({e[3] for e in edges})
     pb_values = sorted({e[4] for e in edges})
@@ -302,7 +231,12 @@ def find_discrepancy(
             sub = [e for e in edges_i if e[4] >= j]
             if not any(e[3] == i for e in sub) or not any(e[4] == j for e in sub):
                 continue
-            comps = _sccs_of_edges([(e[0], e[2]) for e in sub])
+            adj: dict = {}  # insertion-ordered, so the search repeats run to run
+            for e in sub:
+                adj.setdefault(e[0], [])
+                adj.setdefault(e[2], [])
+                adj[e[0]].append(e[2])
+            comps = sccs(adj, adj.__getitem__)
             comp_of = {}
             for ci, comp in enumerate(comps):
                 for v in comp:
@@ -318,36 +252,18 @@ def find_discrepancy(
                 e2 = next((e for e in inner if e[4] == j), None)
                 if e1 is None or e2 is None:
                     continue
-                anchor = e1[0]
-                cycle = [(e1[1], e1[2])]
-                mid = path_within(inner, e1[2], e2[0])
-                if mid is None:
-                    continue
-                cycle += mid
-                cycle.append((e2[1], e2[2]))
-                back = path_within(inner, e2[2], anchor)
-                if back is None:
-                    continue
-                cycle += back
-                witness = LassoWord(spoke_to(anchor), tuple(sym for sym, _ in cycle))
-                va = accepts(
-                    Acceptor(
-                        view_a.acceptor.structure.reroot(
-                            view_a.acceptor.structure.initial if from_a is None else from_a
-                        ),
-                        view_a.acceptor.acceptance,
-                    ),
-                    witness,
-                )
-                vb = accepts(
-                    Acceptor(
-                        view_b.acceptor.structure.reroot(
-                            view_b.acceptor.structure.initial if from_b is None else from_b
-                        ),
-                        view_b.acceptor.acceptance,
-                    ),
-                    witness,
-                )
+                inner_adj: dict = {}
+                for (u, sym, v, _, _) in inner:
+                    inner_adj.setdefault(u, []).append((sym, v))
+                cycle = [
+                    e1[1],
+                    *symbols_between(inner_adj, e1[2], e2[0]),
+                    e2[1],
+                    *symbols_between(inner_adj, e2[2], e1[0]),
+                ]
+                witness = LassoWord(spoke_to(e1[0]), tuple(cycle))
+                va = accepts(view_a.acceptor, witness, from_a)
+                vb = accepts(view_b.acceptor, witness, from_b)
                 if va == vb:
                     raise AssertionError("discrepancy witness failed verification")
                 return witness

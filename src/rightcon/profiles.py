@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .congruence import rightcon_quotient, shortest_word_to
 from .errors import CapacityExceeded
+from .graph import bfs_order
 from .model import Acceptor, LassoWord, Transition
 from .parity import ParityView, find_discrepancy
 from .semantics import accepts
@@ -333,12 +334,7 @@ def _counting_witness(acceptor: Acceptor, v):
     structure = acceptor.structure
     view = ParityView(acceptor)
     checked = set()
-    order = [structure.initial]
-    for q in order:
-        for t in structure.delta[q]:
-            if t not in order:
-                order.append(t)
-    for q in order:
+    for q in bfs_order(structure.initial, structure.delta.__getitem__):
         p = structure.run(q, v)
         for n in range(1, structure.state_count + 2):
             p_next = structure.run(p, v)

@@ -102,6 +102,50 @@ def all_fixtures():
     return [(name, fixture(name)) for name in fixture_names()]
 
 
+# ------------------------------------------------------ naive lasso runs
+
+
+def naive_infinity_sets(structure, w, from_state=None):
+    """States and transitions the run on w visits infinitely often.
+
+    Runs the spoke, then |Q| cycle repetitions, after which the state at
+    each cycle boundary has entered its period (of length at most |Q|),
+    then collects over |Q| more repetitions.
+    """
+    idx = {s: i for i, s in enumerate(structure.alphabet.symbols)}
+    delta = structure.delta
+    q = structure.initial if from_state is None else from_state
+    for s in w.spoke:
+        q = delta[q][idx[s]]
+    n = structure.state_count
+    for _ in range(n):
+        for s in w.cycle:
+            q = delta[q][idx[s]]
+    states, trans = set(), set()
+    for _ in range(n):
+        for s in w.cycle:
+            t = delta[q][idx[s]]
+            states.add(t)
+            trans.add((q, s, t))
+            q = t
+    return frozenset(states), frozenset(trans)
+
+
+def naive_accepts(acceptor, w, from_state=None):
+    """Membership read off the acceptance condition's fields directly."""
+    states, trans = naive_infinity_sets(acceptor.structure, w, from_state)
+    acc = acceptor.acceptance
+    if acc.kind == "buchi":
+        return bool(states & acc.accepting)
+    if acc.kind == "cobuchi":
+        return not states & acc.avoided
+    if acc.kind == "parity":
+        return min(acc.colors[q] for q in states) % 2 == 1
+    if acc.kind == "muller":
+        return states in acc.table
+    return trans in acc.table
+
+
 # ------------------------------------------------------- forced loop lassos
 
 

@@ -1,6 +1,10 @@
 """Right congruence: quotient, index, classification, decomposition."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +26,22 @@ from rightcon.errors import NotMuller, NotTrivial
 from rightcon.model import Alphabet, alphabet
 
 from helpers import random_acceptor, random_lasso
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Prints every fixture's classify counterexamples as JSON.
+COUNTEREXAMPLES_SCRIPT = """
+import json
+from rightcon import classify, fixture, fixture_names
+out = {}
+for name in fixture_names():
+    ces = classify(fixture(name)).counterexamples
+    out[name] = {
+        flag: [sorted(x) if isinstance(x, frozenset) else str(x) for x in ce]
+        for flag, ce in ces.items()
+    }
+print(json.dumps(out))
+"""
 
 EXPECTED_INDEX = {
     "fig2_B": 1, "fig2_C": 1, "fig2_M": 1, "fig2_P": 4, "fig2_T": 1,
@@ -162,6 +182,21 @@ class TestClassify:
             for flag in ("IT", "IM", "IP", "IB", "IC"):
                 assert (flag in c.counterexamples) == (not c.flags[flag]), name
                 assert (flag in c.certificates) == c.flags[flag], name
+
+    def test_counterexamples_do_not_depend_on_hash_seed(self):
+        # loop sets are enumerated in set order over string-keyed
+        # transitions, and that order follows the hash seed
+        outs = []
+        for seed in ("0", "1"):
+            path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-c", COUNTEREXAMPLES_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outs.append(json.loads(proc.stdout))
+        assert outs[0] == outs[1]
+        assert any(ce[0] == "conflict" for ces in outs[0].values() for ce in ces.values())
 
     def test_random_certificates_and_conflicts(self):
         rng = random.Random(5)

@@ -13,7 +13,7 @@ from rightcon import (
     validate,
 )
 from rightcon.lab import _sampled_distinguished
-from rightcon.loops import _tarjan_sccs
+from rightcon.graph import sccs
 from rightcon.model import MullerStates
 
 
@@ -38,7 +38,7 @@ class TestRandomDma:
             assert len(a.acceptance.table) == 2
             for entry in a.acceptance.table:
                 # strongly connected, self-loop required for singletons
-                comps = _tarjan_sccs(entry, lambda q: s.delta[q])
+                comps = sccs(entry, lambda q: s.delta[q])
                 assert len(comps) == 1
                 if len(entry) == 1:
                     q = next(iter(entry))
