@@ -356,20 +356,41 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     structure = acceptor.structure
     acc = acceptor.acceptance
 
-    tsets = loopable_transition_sets(structure, capacity)
+    def t_key(s, t):
+        return frozenset((proj[p], sym, proj[q]) for (p, sym, q) in t)
+
+    def s_key(s, t):
+        return frozenset(proj[q] for q in s)
+
+    ssets = loopable_state_sets(structure, capacity)
+    if isinstance(acc, MullerTransitions):
+        expand = [s for s, _ in ssets]
+    else:
+        # A state-based verdict reads the state set alone, and transition
+        # sets with equal quotient images have equal state images.  So an IT
+        # conflict lies inside an IM-conflicting group, the IT certificate
+        # lists only accepting sets, and a group of rejecting state sets
+        # cannot change IT: only groups holding an accepting set are expanded.
+        wanted = {s_key(s, t) for s, t in ssets if acc.accepts_loop(s, t)}
+        expand = [s for s, t in ssets if s_key(s, t) in wanted]
+    tsets = loopable_transition_sets(structure, capacity, expand)
+    # the loop sets a verdict is read from: transition sets for a
+    # transition table, state sets for every other kind
+    loops = tsets if isinstance(acc, MullerTransitions) else ssets
     flags: dict = {}
     certificates: dict = {}
     counterexamples: dict = {}
 
-    def fingerprint_consistent(key_fn, flag: str):
+    def fingerprint_consistent(key_fn, flag: str, sets):
         groups: dict = {}
-        for s, t in tsets:
+        for s, t in sets:
             groups.setdefault(key_fn(s, t), set()).add(acc.accepts_loop(s, t))
         conflicts = [k for k, verdicts in groups.items() if len(verdicts) > 1]
         if not conflicts:
             return True, groups
-        # the least conflicting key and its least loop sets, so that the
-        # counterexample does not depend on the enumeration's hash order
+        # the least conflicting key and its least transition sets, so that
+        # the counterexample does not depend on the enumeration order; every
+        # transition set of a conflicting group is in tsets
         key = min(conflicts, key=sorted)
         least: dict = {}
         for s, t in tsets:
@@ -382,20 +403,14 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         counterexamples[flag] = ("conflict", pos, neg)
         return False, groups
 
-    def t_key(s, t):
-        return frozenset((proj[p], sym, proj[q]) for (p, sym, q) in t)
-
-    def s_key(s, t):
-        return frozenset(proj[q] for q in s)
-
-    it_ok, it_groups = fingerprint_consistent(t_key, "IT")
+    it_ok, it_groups = fingerprint_consistent(t_key, "IT", tsets)
     flags["IT"] = it_ok
     if it_ok:
         certificates["IT"] = MullerTransitions(
             frozenset(k for k, v in it_groups.items() if True in v)
         )
 
-    im_ok, im_groups = fingerprint_consistent(s_key, "IM")
+    im_ok, im_groups = fingerprint_consistent(s_key, "IM", loops)
     flags["IM"] = im_ok
     table: dict = {}
     if im_ok:
@@ -454,7 +469,7 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             counterexamples.setdefault("IB", ("requires", "IP"))
             counterexamples.setdefault("IC", ("requires", "IP"))
 
-    flags.update(_chain_flags(loop_table(acc, tsets)))
+    flags.update(_chain_flags(loop_table(acc, loops)))
 
     n = quotient.structure.state_count
     return Classification(n, n == 1, flags, certificates, counterexamples, quotient)

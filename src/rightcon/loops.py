@@ -3,11 +3,15 @@
 A loopable set is a reachable, strongly connected (not necessarily maximal)
 subset of states; a singleton qualifies only with a self-loop.  For
 transition-table acceptance the unit is a strongly connected transition set
-instead, so one state set may contribute several entries.
+instead, so one state set may contribute several entries.  The transition
+sets are built from the state sets: each state set's spanning transition
+sets are listed once, under that state set, without any search for
+duplicates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, NotWeak
@@ -109,52 +113,67 @@ def loopable_state_sets(
 
 
 def loopable_transition_sets(
-    structure: TransitionStructure, capacity: int = DEFAULT_CAPACITY
+    structure: TransitionStructure,
+    capacity: int = DEFAULT_CAPACITY,
+    state_sets: Iterable[frozenset[int]] | None = None,
 ) -> list[tuple[frozenset[int], frozenset[Transition]]]:
     """Enumerate reachable strongly connected transition subsets.
 
-    Recursive edge-removal, deduplicated by transition-set key.
+    Each set is listed once, under its own state set S.  The sets spanning
+    S strongly connected form an up-set whose top is S's internal
+    transitions, so walking those in sorted order and dropping each one
+    while the rest still spans S reaches every such set exactly once.
+    `state_sets` are the loopable state sets to expand, all of them by
+    default; `capacity` bounds the number of sets listed over all of them.
     """
-    seen: set[frozenset[Transition]] = set()
+    if state_sets is None:
+        state_sets = [s for s, _ in loopable_state_sets(structure, capacity)]
     out = []
-
-    def edge_components(edges: frozenset[Transition]):
-        vertices = set()
-        adj: dict[int, list[int]] = {}
-        for (p, _, q) in edges:
-            vertices.add(p)
-            vertices.add(q)
-            adj.setdefault(p, []).append(q)
-        comps = []
-        for comp in sccs(frozenset(vertices), lambda v: adj.get(v, ())):
-            inner = frozenset(t for t in edges if t[0] in comp and t[2] in comp)
-            if inner and _loopable(comp, inner):
-                comps.append((comp, inner))
-        return comps
-
-    def visit(states: frozenset[int], edges: frozenset[Transition]):
-        if edges in seen:
-            return
-        seen.add(edges)
-        if len(seen) > capacity:
-            raise CapacityExceeded("loopable transition sets", capacity)
-        out.append((states, edges))
-        if len(edges) <= 1:
-            return
-        for e in edges:
-            for sub_states, sub_edges in edge_components(edges - {e}):
-                visit(sub_states, sub_edges)
-
-    reachable = structure.reachable_states()
-
-    def succ(q):
-        return structure.delta[q]
-
-    for comp in sccs(reachable, succ):
-        edges = _internal_transitions(structure, comp)
-        if _loopable(comp, edges):
-            visit(comp, edges)
+    for states in state_sets:
+        edges = sorted(_internal_transitions(structure, states))
+        for mask in _spanning_masks(states, edges):
+            out.append((states, frozenset(e for i, e in enumerate(edges) if mask >> i & 1)))
+            if len(out) > capacity:
+                raise CapacityExceeded("loopable transition sets", capacity)
     return out
+
+
+def _spanning_masks(states: frozenset[int], edges: list[Transition]):
+    """Bitmasks over `edges` of the subsets that span `states` strongly
+    connected; a singleton needs a self-loop, i.e. a nonempty mask."""
+    local = {q: i for i, q in enumerate(sorted(states))}
+    everyone = (1 << len(states)) - 1
+    succ: list[list[tuple[int, int]]] = [[] for _ in states]
+    pred: list[list[tuple[int, int]]] = [[] for _ in states]
+    for i, (p, _, q) in enumerate(edges):
+        succ[local[p]].append((1 << i, local[q]))
+        pred[local[q]].append((1 << i, local[p]))
+
+    def reaches_all(adj, mask):
+        # from min(states), which has local index 0
+        seen, stack = 1, [0]
+        while stack:
+            for bit, v in adj[stack.pop()]:
+                if mask & bit and not seen >> v & 1:
+                    seen |= 1 << v
+                    stack.append(v)
+        return seen == everyone
+
+    def spans(mask):
+        return mask != 0 and reaches_all(succ, mask) and reaches_all(pred, mask)
+
+    full = (1 << len(edges)) - 1
+    if not spans(full):
+        return
+    # a transition that cannot leave a mask cannot leave any subset of it
+    # either, so each child tries only the droppable ones after its own
+    stack = [(full, range(len(edges)))]
+    while stack:
+        mask, candidates = stack.pop()
+        yield mask
+        droppable = [i for i in candidates if spans(mask & ~(1 << i))]
+        for k, i in enumerate(droppable):
+            stack.append((mask & ~(1 << i), droppable[k + 1:]))
 
 
 def loopable_sets(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> LoopTable:
@@ -181,32 +200,18 @@ def loop_table(acc: Acceptance, raw) -> LoopTable:
     return LoopTable(keyed_by, entries)
 
 
-def _chain_pairs(table: LoopTable):
-    """All ordered pairs (small, big) of distinct comparable entries."""
-    ents = table.sorted_entries()
-    for i, a in enumerate(ents):
-        ka = table.key_of(a)
-        for b in ents:
-            kb = table.key_of(b)
-            if ka < kb:
-                yield a, b
-
-
 def _chain_flags(table: LoopTable) -> dict[str, bool]:
-    """weak, db and dc of a loop table from one pass over its chains.
+    """weak, db and dc of a loop table.
 
     db: no superset of an accepting loopable set is rejecting; dc: no
-    superset of a rejecting one is accepting; weak: both.
+    superset of a rejecting one is accepting; weak: both.  Only pairs of
+    opposite verdicts can clear a flag, and each search stops at its first
+    witness.
     """
-    db = dc = True
-    for a, b in _chain_pairs(table):
-        if a.accepting != b.accepting:
-            if a.accepting:
-                db = False
-            else:
-                dc = False
-            if not (db or dc):
-                break
+    accepting = [table.key_of(e) for e in table.entries.values() if e.accepting]
+    rejecting = [table.key_of(e) for e in table.entries.values() if not e.accepting]
+    db = not any(a < r for a in accepting for r in rejecting)
+    dc = not any(r < a for r in rejecting for a in accepting)
     return {"weak": db and dc, "db": db, "dc": dc}
 
 

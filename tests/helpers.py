@@ -146,6 +146,56 @@ def naive_accepts(acceptor, w, from_state=None):
     return trans in acc.table
 
 
+# ------------------------------------------------------ naive loop sets
+
+
+def brute_loopable_transition_sets(structure):
+    """Every strongly connected set of reachable transitions, found by
+    trying every subset and testing it by naive reachability; a singleton
+    state set needs a self-loop.  Returns (states, transitions) pairs."""
+    reachable = structure.reachable_states()
+    trans = [t for t in structure.all_transitions() if t[0] in reachable]
+    out = []
+    for bits in range(1, 1 << len(trans)):
+        t_set = frozenset(t for i, t in enumerate(trans) if bits >> i & 1)
+        states = frozenset(q for (p, _, r) in t_set for q in (p, r))
+        if len(states) == 1 and not any(p == r for (p, _, r) in t_set):
+            continue
+        connected = True
+        for src in states:
+            seen = {src}
+            changed = True
+            while changed:
+                changed = False
+                for (p, _, r) in t_set:
+                    if p in seen and r not in seen:
+                        seen.add(r)
+                        changed = True
+            if seen != states:
+                connected = False
+                break
+        if connected:
+            out.append((states, t_set))
+    return out
+
+
+def naive_chain_flags(entries):
+    """weak, db and dc over (key, accepting) pairs, by checking every
+    ordered pair: an accepting key inside a rejecting one clears db, a
+    rejecting key inside an accepting one clears dc."""
+    db = dc = True
+    for k1, v1 in entries:
+        for k2, v2 in entries:
+            if k1 < k2 and v1 != v2:
+                if v1:
+                    db = False
+                else:
+                    dc = False
+        if not (db or dc):
+            break
+    return {"weak": db and dc, "db": db, "dc": dc}
+
+
 # ------------------------------------------------------- forced loop lassos
 
 

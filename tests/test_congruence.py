@@ -16,6 +16,7 @@ from rightcon import (
     index,
     is_trivial,
     powerset,
+    random_dma,
     refines,
     rightcon_quotient,
     state_equivalent,
@@ -29,16 +30,29 @@ from helpers import random_acceptor, random_lasso
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Prints every fixture's classify counterexamples as JSON.
+# Prints every fixture's classify counterexamples and certificates as JSON,
+# the certificates with every set sorted.
 COUNTEREXAMPLES_SCRIPT = """
 import json
 from rightcon import classify, fixture, fixture_names
+
+def canon(x):
+    if isinstance(x, frozenset):
+        return sorted(map(canon, x), key=repr)
+    if isinstance(x, tuple):
+        return [canon(y) for y in x]
+    return x
+
 out = {}
 for name in fixture_names():
-    ces = classify(fixture(name)).counterexamples
+    c = classify(fixture(name))
     out[name] = {
         flag: [sorted(x) if isinstance(x, frozenset) else str(x) for x in ce]
-        for flag, ce in ces.items()
+        for flag, ce in c.counterexamples.items()
+    }
+    out[name]["certificates"] = {
+        flag: [cert.kind] + [canon(v) for v in vars(cert).values()]
+        for flag, cert in c.certificates.items()
     }
 print(json.dumps(out))
 """
@@ -197,6 +211,14 @@ class TestClassify:
             outs.append(json.loads(proc.stdout))
         assert outs[0] == outs[1]
         assert any(ce[0] == "conflict" for ces in outs[0].values() for ce in ces.values())
+        assert any("IP" in ces["certificates"] for ces in outs[0].values())
+
+    def test_seven_to_ten_states_stay_within_capacity(self):
+        # state sets whose quotient-image group holds no accepting set are
+        # never expanded into transition sets
+        for n in (7, 10):
+            c = classify(random_dma(n, "c/0"), capacity=10_000)
+            assert c.index == n
 
     def test_random_certificates_and_conflicts(self):
         rng = random.Random(5)

@@ -1,20 +1,34 @@
 """Loop tables, chain classes, alternation measure, weak conversions."""
 
+import random
+
 import pytest
 
 from rightcon import (
     alternation_measure,
+    classify,
+    convert,
     equivalent,
     fixture,
     is_db,
     is_dc,
     is_weak,
     loopable_sets,
+    random_dma,
     weak_to_buchi,
     weak_to_cobuchi,
 )
 from rightcon.errors import CapacityExceeded, NotWeak
 from rightcon.loops import loopable_state_sets, loopable_transition_sets
+from rightcon.model import Alphabet
+
+from helpers import (
+    AB,
+    all_fixtures,
+    brute_loopable_transition_sets,
+    naive_chain_flags,
+    random_structure,
+)
 
 
 def table_as_dict(acceptor):
@@ -79,6 +93,36 @@ class TestLoopTables:
         with pytest.raises(CapacityExceeded):
             loopable_transition_sets(a.structure, capacity=1)
 
+    def test_transition_capacity_counts_sets_over_all_state_sets(self):
+        structure = fixture("fig3_B").structure
+        with pytest.raises(CapacityExceeded):
+            loopable_transition_sets(structure, capacity=492)
+        assert len(loopable_transition_sets(structure, capacity=493)) == 493
+
+    def test_transition_sets_match_brute_force(self):
+        def check(structure, tag):
+            got = loopable_transition_sets(structure)
+            assert len({t for _, t in got}) == len(got), tag  # no duplicates
+            assert set(got) == set(brute_loopable_transition_sets(structure)), tag
+
+        for name, a in all_fixtures():
+            s = a.structure
+            if len(s.reachable_states()) * len(s.alphabet) <= 14:
+                check(s, name)
+        abc = Alphabet(("a", "b", "c"))
+        rng = random.Random("loops/brute")
+        for i in range(200):
+            alphabet = AB if i % 2 else abc
+            n = rng.randint(1, 6 if alphabet is AB else 4)
+            check(random_structure(rng, n, alphabet), i)
+
+    def test_transition_sets_of_chosen_state_sets(self):
+        structure = fixture("fig2_B").structure
+        every = loopable_transition_sets(structure)
+        for states, _ in loopable_state_sets(structure):
+            chosen = loopable_transition_sets(structure, state_sets=[states])
+            assert chosen == [(s, t) for s, t in every if s == states]
+
 
 class TestChainClasses:
     def test_weak_db_dc_fixtures(self):
@@ -98,9 +142,16 @@ class TestChainClasses:
             assert is_db(a) == db, name
             assert is_dc(a) == dc, name
 
-    def test_weak_iff_db_and_dc(self):
-        from helpers import all_fixtures
+    def test_classify_chain_flags_match_pairwise_oracle(self):
+        # the 5-state conversion has 6,472 transition-keyed entries
+        inputs = all_fixtures() + [("tmuller/5", convert(random_dma(5, "c/0"), "tmuller"))]
+        for name, a in inputs:
+            table = loopable_sets(a)
+            want = naive_chain_flags([(table.key_of(e), e.accepting) for e in table.entries.values()])
+            flags = classify(a).flags
+            assert {k: flags[k] for k in want} == want, name
 
+    def test_weak_iff_db_and_dc(self):
         for name, a in all_fixtures():
             assert is_weak(a) == (is_db(a) and is_dc(a)), name
 
@@ -132,8 +183,6 @@ class TestAlternationMeasure:
                 assert small.accepting != big.accepting
 
     def test_weak_means_zero_alternations(self):
-        from helpers import all_fixtures
-
         for name, a in all_fixtures():
             m = alternation_measure(a)
             assert is_weak(a) == (m.max_alternations == 0), name
