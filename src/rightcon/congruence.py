@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .dfa import Dfa
 from .errors import NotMuller, NotTrivial
@@ -28,10 +28,7 @@ from .model import (
     TransitionStructure,
     check_same_alphabet,
 )
-from .parity import ParityView, find_discrepancy
-from .semantics import accepts
-
-_BATTERY_SEED = 982451653
+from .parity import ParityView, discrepant_components, find_discrepancy, pair_product
 
 
 def shortest_word_to(structure: TransitionStructure, src: int, dst: int):
@@ -75,27 +72,6 @@ def closed_walk_covering(
     return tuple(walk)
 
 
-def _battery(structure: TransitionStructure):
-    """Deterministic stream of probe lassos for partition prefiltering."""
-    symbols = structure.alphabet.symbols
-    words_by_len = [[()]]
-    for _ in range(2):
-        words_by_len.append(
-            [w + (s,) for w in words_by_len[-1] for s in symbols]
-        )
-    short = [w for ws in words_by_len for w in ws]
-    for spoke in short:
-        for cycle in short:
-            if cycle:
-                yield LassoWord(spoke, cycle)
-    rng = random.Random(_BATTERY_SEED)
-    n = structure.state_count
-    for _ in range(300):
-        spoke = tuple(rng.choice(symbols) for _ in range(rng.randint(0, 2 * n)))
-        cycle = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 2 * n + 2)))
-        yield LassoWord(spoke, cycle)
-
-
 @dataclass(frozen=True)
 class Quotient:
     structure: TransitionStructure
@@ -107,80 +83,39 @@ class Quotient:
 def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
     """Partition reachable states by language equality.
 
-    Cheap probe lassos split most pairs; surviving pairs are settled by the
-    exact product check, whose witnesses feed back into the refinement.
+    One product of the acceptor's parity machine with itself, rooted at
+    every pair of reachable states, settles all pairs at once: a pair is
+    inequivalent exactly when its root reaches an SCC on which the two
+    copies disagree, the SCCs `find_discrepancy` would accept.  Blocks list
+    states in breadth-first order; each state joins the block of the first
+    earlier representative it is equivalent to.
     """
     structure = acceptor.structure
-    blocks = [bfs_order(structure.initial, structure.delta.__getitem__)]
-
-    def refine_by(lasso: LassoWord):
-        nonlocal blocks
-        new = []
+    order = bfs_order(structure.initial, structure.delta.__getitem__)
+    view = ParityView(acceptor)
+    roots = [(view.initial(p), view.initial(q)) for p, q in combinations(order, 2)]
+    _, edges = pair_product(view, view, roots)
+    preds: dict = {}
+    for (u, _, v, _, _) in edges:
+        preds.setdefault(v, []).append(u)
+    bad = set()
+    for nodes, _, _, _ in discrepant_components(edges):
+        bad |= nodes
+    frontier = list(bad)
+    while frontier:
+        for u in preds.get(frontier.pop(), ()):
+            if u not in bad:
+                bad.add(u)
+                frontier.append(u)
+    blocks: list[list[int]] = []
+    for q in order:
         for b in blocks:
-            if len(b) == 1:
-                new.append(b)
-                continue
-            groups: dict[bool, list[int]] = {}
-            for q in b:
-                groups.setdefault(accepts(acceptor, lasso, q), []).append(q)
-            new.extend(groups.values())
-        blocks = new
-
-    for lasso in _battery(structure):
-        if all(len(b) == 1 for b in blocks):
-            return blocks
-        refine_by(lasso)
-
-    # targeted phase: probe the surviving blocks with lassos whose cycles
-    # are closed walks, i.e. with realizable candidate infinity sets
-    rng = random.Random(_BATTERY_SEED ^ 0x5DEECE66D)
-    symbols = structure.alphabet.symbols
-    n = structure.state_count
-    stale_rounds = 0
-    while stale_rounds < 3:
-        multi = [b for b in blocks if len(b) > 1]
-        if not multi:
-            return blocks
-        before = len(blocks)
-        for b in multi:
-            for q in b:
-                for _ in range(4):
-                    spoke = tuple(
-                        rng.choice(symbols) for _ in range(rng.randint(0, n))
-                    )
-                    origin = structure.run(q, spoke)
-                    cur = origin
-                    walk = []
-                    for _ in range(3 * n):
-                        sym = rng.choice(symbols)
-                        walk.append(sym)
-                        cur = structure.step(cur, sym)
-                        if cur == origin and rng.random() < 0.7:
-                            break
-                    if cur == origin and walk:
-                        refine_by(LassoWord(spoke, tuple(walk)))
-        stale_rounds = 0 if len(blocks) > before else stale_rounds + 1
-
-    view = None
-    proven: set[frozenset[int]] = set()
-    while True:
-        pending = None
-        for b in blocks:
-            for q in b[1:]:
-                if frozenset((b[0], q)) not in proven:
-                    pending = (b[0], q)
-                    break
-            if pending:
+            if (view.initial(b[0]), view.initial(q)) not in bad:
+                b.append(q)
                 break
-        if pending is None:
-            return blocks
-        if view is None:
-            view = ParityView(acceptor)
-        witness = find_discrepancy(view, view, pending[0], pending[1])
-        if witness is None:
-            proven.add(frozenset(pending))
         else:
-            refine_by(witness)
+            blocks.append([q])
+    return blocks
 
 
 def state_equivalent(
@@ -503,7 +438,6 @@ def _cycle_dfa(structure: TransitionStructure, states: frozenset[int], anchor: i
     trans = {}
     seen = {start}
     queue = deque([(start, anchor, frozenset([anchor]))])
-    meta = {start: (anchor, frozenset([anchor]))}
     accepting = set()
     while queue:
         node, q, visited = queue.popleft()
@@ -516,7 +450,6 @@ def _cycle_dfa(structure: TransitionStructure, states: frozenset[int], anchor: i
             trans[(node, sym)] = nnode
             if nnode not in seen:
                 seen.add(nnode)
-                meta[nnode] = (t, nvisited)
                 queue.append((nnode, t, nvisited))
             if t == anchor and nvisited == states:
                 accepting.add(nnode)

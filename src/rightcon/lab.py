@@ -9,7 +9,6 @@ from .congruence import partition_language_equivalent
 from .errors import SamplingExhausted
 from .graph import sccs
 from .model import Acceptor, Alphabet, MullerStates, TransitionStructure, validate
-from .parity import ParityView, find_discrepancy
 from .semantics import accepts_indices
 
 _RETRY_BOUND = 100000
@@ -106,22 +105,22 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
     """Replay of the sampling procedure: are all states pairwise split by
     random lassos?
 
-    Pairs of truly equivalent states can never be split, so once every
-    remaining pair is verified equivalent by the exact check the answer is
-    already determined and sampling stops early with the same verdict.
+    Equivalent states are never split, so if the exact partition is not
+    discrete the answer is already False.  It is consulted once, after the
+    warm-up, for the trials that sampling has not settled by then; the
+    lassos drawn and the verdict are those of the full replay.
     """
     structure = acceptor.structure
-    symbols = structure.alphabet.symbols
     n = structure.state_count
     blocks = [list(range(n))]
-    view = None
-    pair_equivalent: dict[frozenset, bool] = {}
     warmup = 1000
 
-    k = len(symbols)
+    k = len(structure.alphabet)
     for step in range(samples):
         if all(len(b) == 1 for b in blocks):
             return True
+        if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
+            return False
         spoke_len = 0
         while rng.random() < 0.5 and spoke_len < 2 * n:
             spoke_len += 1
@@ -137,25 +136,6 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
                 groups.setdefault(accepts_indices(acceptor, q, spoke_idx, cycle_idx), []).append(q)
             new.extend(groups.values())
         blocks = new
-        if step >= warmup and step % 1000 == 0:
-            hopeless = True
-            for b in blocks:
-                if len(b) == 1:
-                    continue
-                for q in b[1:]:
-                    key = frozenset((b[0], q))
-                    verdict = pair_equivalent.get(key)
-                    if verdict is None:
-                        if view is None:
-                            view = ParityView(acceptor)
-                        verdict = find_discrepancy(view, view, b[0], q) is None
-                        pair_equivalent[key] = verdict
-                    if not verdict:
-                        hopeless = False
-                if not hopeless:
-                    break
-            if hopeless:
-                return False
     return all(len(b) == 1 for b in blocks)
 
 

@@ -123,8 +123,9 @@ def loopable_transition_sets(
     S strongly connected form an up-set whose top is S's internal
     transitions, so walking those in sorted order and dropping each one
     while the rest still spans S reaches every such set exactly once.
-    `state_sets` are the loopable state sets to expand, all of them by
-    default; `capacity` bounds the number of sets listed over all of them.
+    `state_sets` are the reachable state sets to expand, all loopable ones
+    by default; a set that is not loopable lists nothing.  `capacity` bounds
+    the number of sets listed over all of them.
     """
     if state_sets is None:
         state_sets = [s for s, _ in loopable_state_sets(structure, capacity)]

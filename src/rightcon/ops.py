@@ -22,7 +22,7 @@ from .model import (
     TransitionStructure,
     check_same_alphabet,
 )
-from .parity import ParityView, find_discrepancy
+from .parity import ParityView, as_parity, find_discrepancy
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,9 @@ def combine(
     b = transition_expand(b)
     prod = product(a.structure, b.structure)
     table = []
-    for states, trans in loopable_state_sets(prod.structure, capacity):
-        proj_a = frozenset(prod.pairs[q][0] for q in states)
-        proj_b = frozenset(prod.pairs[q][1] for q in states)
-        ta = frozenset(
-            (prod.pairs[p][0], sym, prod.pairs[q][0]) for (p, sym, q) in trans
-        )
-        tb = frozenset(
-            (prod.pairs[p][1], sym, prod.pairs[q][1]) for (p, sym, q) in trans
-        )
-        va = a.acceptance.accepts_loop(proj_a, ta)
-        vb = b.acceptance.accepts_loop(proj_b, tb)
+    for states, _ in loopable_state_sets(prod.structure, capacity):
+        va = a.acceptance.accepts_loop(frozenset(prod.pairs[q][0] for q in states), frozenset())
+        vb = b.acceptance.accepts_loop(frozenset(prod.pairs[q][1] for q in states), frozenset())
         verdict = (va or vb) if mode == "union" else (va and vb)
         if verdict:
             table.append(states)
@@ -152,16 +144,8 @@ def convert(
     structure = acceptor.structure
     if acc.kind == target:
         return acceptor
-    if isinstance(acc, Buchi) and target == "parity":
-        colors = tuple(
-            1 if q in acc.accepting else 2 for q in range(structure.state_count)
-        )
-        return Acceptor(structure, Parity(colors))
-    if isinstance(acc, CoBuchi) and target == "parity":
-        colors = tuple(
-            0 if q in acc.avoided else 1 for q in range(structure.state_count)
-        )
-        return Acceptor(structure, Parity(colors))
+    if isinstance(acc, (Buchi, CoBuchi)) and target == "parity":
+        return Acceptor(structure, as_parity(acc, structure.state_count))
     if isinstance(acc, Parity) and target == "muller":
         table = frozenset(
             s
@@ -170,11 +154,10 @@ def convert(
         )
         return Acceptor(structure, MullerStates(table))
     if isinstance(acc, MullerStates) and target == "tmuller":
-        table = frozenset(
-            t
-            for s, t in loopable_transition_sets(structure, capacity)
-            if s in acc.table
-        )
+        # a table entry that is not loopable spans no transition set
+        reachable = structure.reachable_states()
+        entries = sorted((s for s in acc.table if s <= reachable), key=sorted)
+        table = frozenset(t for _, t in loopable_transition_sets(structure, capacity, entries))
         return Acceptor(structure, MullerTransitions(table))
     raise UnsupportedConversion(acc.kind, target)
 

@@ -131,10 +131,9 @@ def naive_infinity_sets(structure, w, from_state=None):
     return frozenset(states), frozenset(trans)
 
 
-def naive_accepts(acceptor, w, from_state=None):
-    """Membership read off the acceptance condition's fields directly."""
-    states, trans = naive_infinity_sets(acceptor.structure, w, from_state)
-    acc = acceptor.acceptance
+def naive_verdict(acc, states, trans):
+    """Verdict on infinity sets, read off the acceptance condition's fields
+    directly."""
     if acc.kind == "buchi":
         return bool(states & acc.accepting)
     if acc.kind == "cobuchi":
@@ -144,6 +143,36 @@ def naive_accepts(acceptor, w, from_state=None):
     if acc.kind == "muller":
         return states in acc.table
     return trans in acc.table
+
+
+def naive_accepts(acceptor, w, from_state=None):
+    """Membership of w by its naive infinity sets and naive_verdict."""
+    states, trans = naive_infinity_sets(acceptor.structure, w, from_state)
+    return naive_verdict(acceptor.acceptance, states, trans)
+
+
+# ------------------------------------------------------ naive parity tree
+
+
+def brute_flipped_children(acc, label):
+    """Maximal proper nonempty subsets of `label` whose verdict is the
+    opposite of label's, found by trying every subset.  Colors are states,
+    or transitions for a transition table; naive_verdict reads the one its
+    kind looks at."""
+    colors = sorted(label, key=repr)
+    flipped = not naive_verdict(acc, label, label)
+    found = []
+    for bits in range(1, (1 << len(colors)) - 1):
+        s = frozenset(c for i, c in enumerate(colors) if bits >> i & 1)
+        if naive_verdict(acc, s, s) == flipped:
+            found.append(s)
+    # a set with a flipped strict superset lies inside a maximal one, which
+    # is larger and so kept first
+    maximal = []
+    for s in sorted(found, key=len, reverse=True):
+        if not any(s < m for m in maximal):
+            maximal.append(s)
+    return set(maximal)
 
 
 # ------------------------------------------------------ naive loop sets

@@ -23,10 +23,12 @@ from rightcon import (
     trivial_decomposition,
     validate,
 )
+from rightcon.congruence import partition_language_equivalent
 from rightcon.errors import NotMuller, NotTrivial
 from rightcon.model import Alphabet, alphabet
+from rightcon.ops import combine
 
-from helpers import random_acceptor, random_lasso
+from helpers import all_fixtures, naive_accepts, random_acceptor, random_lasso
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -120,6 +122,29 @@ class TestQuotient:
                 same, witness = state_equivalent(a, p, r)
                 assert not same
                 assert accepts(a, witness, p) != accepts(a, witness, r)
+
+    def test_partition_matches_pairwise_checks(self):
+        # two states share a block exactly when the pairwise product search
+        # finds no discrepancy, whose witness the naive simulator confirms
+        rng = random.Random("partition")
+        inputs = all_fixtures()
+        inputs += [(f"random/{i}", random_acceptor(rng, max_states=6)) for i in range(60)]
+        for i in range(15):
+            a = random_acceptor(rng, max_states=3)
+            b = random_acceptor(rng, max_states=3)
+            inputs.append((f"combine/{i}", combine(a, b, ("union", "intersection")[i % 2])))
+        for name, a in inputs:
+            blocks = partition_language_equivalent(a)
+            block_of = {q: i for i, b in enumerate(blocks) for q in b}
+            assert sum(map(len, blocks)) == len(block_of), name
+            states = sorted(a.structure.reachable_states())
+            assert sorted(block_of) == states, name
+            for k, q in enumerate(states):
+                for p in states[:k]:
+                    same, witness = state_equivalent(a, p, q)
+                    assert (block_of[p] == block_of[q]) == same, (name, p, q)
+                    if not same:
+                        assert naive_accepts(a, witness, p) != naive_accepts(a, witness, q)
 
     def test_refines_quotient(self):
         for name in ("fig3_M", "fig5_Bbad", "L1", "fig7_bowtie"):

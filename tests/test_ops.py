@@ -13,12 +13,13 @@ from rightcon import (
     fixture,
     lasso,
     loopable_sets,
+    random_dma,
 )
 from rightcon.errors import AlphabetMismatch, UnsupportedConversion
-from rightcon.model import Buchi, CoBuchi, MullerStates, Parity
+from rightcon.model import Buchi, CoBuchi, MullerStates, Parity, TransitionStructure, validate
 from rightcon.ops import product, transition_expand
 
-from helpers import random_acceptor, random_lasso
+from helpers import AB, all_fixtures, brute_loopable_transition_sets, random_acceptor, random_lasso
 
 
 class TestComplement:
@@ -130,6 +131,24 @@ class TestConvert:
         t = convert(a, "tmuller")
         assert t.acceptance.kind == "tmuller"
         assert equivalent(a, t)[0]
+
+    def test_muller_to_tmuller_table_is_loops_of_entries(self):
+        # the last input's table holds an unreachable loop {3}, a set {0, 1}
+        # that is not strongly connected, and a singleton {0} without a
+        # self-loop
+        odd = validate(
+            TransitionStructure(AB, 4, 0, ((1, 2), (1, 2), (2, 2), (3, 3))),
+            MullerStates(frozenset(map(frozenset, ({3}, {0, 1}, {0}, {1}, {2})))),
+        )
+        inputs = [a for _, a in all_fixtures() if a.acceptance.kind == "muller"]
+        inputs += [random_dma(n, f"c/{i}") for n in (3, 4) for i in range(3)] + [odd]
+        for a in inputs:
+            if len(a.structure.all_transitions()) > 14:
+                continue
+            want = {
+                t for s, t in brute_loopable_transition_sets(a.structure) if s in a.acceptance.table
+            }
+            assert convert(a, "tmuller").acceptance.table == want
 
     def test_chain_buchi_to_tmuller(self):
         a = fixture("fig2_B")
