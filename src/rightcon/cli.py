@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .congruence import classify
-from .errors import CapacityExceeded, RightconError
+from .errors import CapacityExceeded, ParseError, RightconError
 from .fixtures import fixture, fixture_names, wagner_family
 from .lab import ExperimentConfig, random_dma, run_experiment
 from .loops import alternation_measure
@@ -18,8 +18,13 @@ from .semantics import accepts
 
 
 def _read(path: str) -> Acceptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_oaf(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    return parse_oaf(text)
 
 
 def _write(path: str, acceptor: Acceptor) -> None:

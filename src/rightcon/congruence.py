@@ -181,21 +181,9 @@ def is_trivial(acceptor: Acceptor) -> bool:
 def refines(a: TransitionStructure, b: TransitionStructure) -> bool:
     """Does the word partition by a-states refine the one by b-states?"""
     check_same_alphabet(a, b)
+    pairs = bfs_order((a.initial, b.initial), lambda p: zip(a.delta[p[0]], b.delta[p[1]]))
     image: dict[int, int] = {}
-    seen = set()
-    queue = deque([(a.initial, b.initial)])
-    seen.add((a.initial, b.initial))
-    while queue:
-        pa, pb = queue.popleft()
-        if pa in image and image[pa] != pb:
-            return False
-        image[pa] = pb
-        for i in range(len(a.alphabet)):
-            t = (a.delta[pa][i], b.delta[pb][i])
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
+    return all(image.setdefault(pa, pb) == pb for pa, pb in pairs)
 
 
 def powerset(
@@ -207,23 +195,14 @@ def powerset(
 
     ndelta maps (state, symbol) to an iterable of successor states.
     """
-    start = frozenset(initial_states)
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        row = []
-        for sym in alphabet.symbols:
-            t = frozenset(q2 for q in s for q2 in ndelta.get((q, sym), ()))
-            if t not in ids:
-                ids[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            row.append(ids[t])
-        rows.append(tuple(row))
-    return TransitionStructure(alphabet, len(order), 0, tuple(rows))
+
+    def succ(s):
+        return [frozenset(q2 for q in s for q2 in ndelta.get((q, sym), ())) for sym in alphabet.symbols]
+
+    order = bfs_order(frozenset(initial_states), succ)
+    ids = {s: i for i, s in enumerate(order)}
+    rows = tuple(tuple(ids[t] for t in succ(s)) for s in order)
+    return TransitionStructure(alphabet, len(order), 0, rows)
 
 
 @dataclass(frozen=True)

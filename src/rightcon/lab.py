@@ -7,23 +7,13 @@ from dataclasses import dataclass
 
 from .congruence import partition_language_equivalent
 from .errors import SamplingExhausted
-from .graph import sccs
+from .loops import is_loopable
 from .model import Acceptor, Alphabet, MullerStates, TransitionStructure, validate
 from .semantics import accepts_indices
 
 _RETRY_BOUND = 100000
 
 _SYMBOL_POOL = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _strongly_connected(structure: TransitionStructure, states: frozenset) -> bool:
-    comps = sccs(states, structure.delta.__getitem__)
-    if len(comps) != 1:
-        return False
-    if len(states) == 1:
-        q = next(iter(states))
-        return q in structure.delta[q]
-    return True
 
 
 def random_dma(
@@ -58,7 +48,7 @@ def random_dma(
             subset = frozenset(q for q in range(states) if rng.random() < 0.5)
             if not subset or subset in table:
                 continue
-            if _strongly_connected(structure, subset):
+            if is_loopable(structure, subset):
                 table.append(subset)
                 break
         else:

@@ -7,6 +7,10 @@ instead, so one state set may contribute several entries.  The transition
 sets are built from the state sets: each state set's spanning transition
 sets are listed once, under that state set, without any search for
 duplicates.
+
+Sets are bitmasks, and one search, `_reach`, answers every reachability
+question here: the SCCs of a state set, whether transitions span their
+states, and which SCCs reach which.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, NotWeak
-from .graph import bfs_order, sccs
 from .model import (
     Acceptance,
     Acceptor,
@@ -53,62 +56,86 @@ class LoopTable:
         return entry.transitions if self.keyed_by == "transitions" else entry.states
 
 
-def _internal_transitions(
-    structure: TransitionStructure, states: frozenset[int]
-) -> frozenset[Transition]:
-    out = []
-    for q in states:
-        for t in structure.transitions_from(q):
-            if t[2] in states:
-                out.append(t)
-    return frozenset(out)
+def _reach(adj, start: int, mask: int) -> int:
+    """Bitmask of the vertices reachable from `start`.
+
+    adj[v] lists (bit, w) pairs: an edge to w that may be taken when `bit`
+    is in `mask`.  For a state graph the bit is w's own, so `mask` picks the
+    states; for a transition graph it is the edge's, so `mask` picks edges.
+    """
+    seen, stack = 1 << start, [start]
+    while stack:
+        for bit, w in adj[stack.pop()]:
+            if mask & bit and not seen >> w & 1:
+                seen |= 1 << w
+                stack.append(w)
+    return seen
 
 
-def _loopable(states: frozenset[int], edges: frozenset[Transition]) -> bool:
-    if len(states) > 1:
-        return True
-    return any(p == q for (p, _, q) in edges)
+def _state_graph(structure: TransitionStructure):
+    """Successor and predecessor lists of `structure` for `_reach`."""
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(structure.state_count)]
+    pred: list[list[tuple[int, int]]] = [[] for _ in range(structure.state_count)]
+    for p, row in enumerate(structure.delta):
+        for q in sorted(set(row)):
+            succ[p].append((1 << q, q))
+            pred[q].append((1 << p, p))
+    return succ, pred
+
+
+def _loopable_scc(succ, pred, v: int, mask: int) -> int:
+    """Mask of v's SCC among the states in `mask`, or 0 if not loopable.
+
+    The SCC is v's forward reach meet its backward reach; a singleton is
+    loopable only with its self-loop.
+    """
+    comp = _reach(succ, v, mask) & _reach(pred, v, mask)
+    return comp if comp != 1 << v or (1 << v, v) in succ[v] else 0
+
+
+def is_loopable(structure: TransitionStructure, states: frozenset[int]) -> bool:
+    """Is `states` loopable: strongly connected, with a self-loop if a singleton?"""
+    mask = sum(1 << q for q in states)
+    return mask != 0 and _loopable_scc(*_state_graph(structure), min(states), mask) == mask
 
 
 def loopable_state_sets(
     structure: TransitionStructure, capacity: int = DEFAULT_CAPACITY
 ) -> list[tuple[frozenset[int], frozenset[Transition]]]:
-    """Enumerate reachable strongly connected state subsets.
+    """Enumerate reachable strongly connected state subsets, each once.
 
-    Recursive vertex-removal within each maximal SCC, deduplicated by
-    state-set key.
+    Sets are state bitmasks, and each is found under its least state v: it
+    lies in v's loopable SCC among the reachable states from v on.  Under a
+    listed set S, the loopable sets strictly inside S that hold `kept` (v at
+    first) are split by the first state q of S they miss: each lies in v's
+    loopable SCC of S minus q and holds `kept` and the states of S before q.
+    The splits are disjoint, so no set is listed twice, and each listed
+    set's internal transitions are built once.
     """
-    reachable = structure.reachable_states()
-
-    def succ(q):
-        return structure.delta[q]
-
-    seen: set[frozenset[int]] = set()
+    succ, pred = _state_graph(structure)
+    outgoing = [structure.transitions_from(q) for q in range(structure.state_count)]
+    reachable = sorted(structure.reachable_states())
+    rest = sum(1 << q for q in reachable)
+    stack = []
+    for v in reachable:
+        comp = _loopable_scc(succ, pred, v, rest)
+        if comp:
+            stack.append((comp, 1 << v))
+        rest &= ~(1 << v)
     out = []
-
-    def visit(component: frozenset[int]):
-        # component is strongly connected; record if loopable, then recurse
-        if component in seen:
-            return
-        seen.add(component)
-        if len(seen) > capacity:
+    while stack:
+        mask, kept = stack.pop()
+        members = [q for q in range(mask.bit_length()) if mask >> q & 1]
+        states = frozenset(members)
+        out.append((states, frozenset(t for q in members for t in outgoing[q] if mask >> t[2] & 1)))
+        if len(out) > capacity:
             raise CapacityExceeded("loopable state sets", capacity)
-        edges = _internal_transitions(structure, component)
-        if _loopable(component, edges):
-            out.append((component, edges))
-        if len(component) <= 1:
-            return
-        for v in component:
-            rest = component - {v}
-            for sub in sccs(rest, succ):
-                sub_edges = _internal_transitions(structure, sub)
-                if _loopable(sub, sub_edges):
-                    visit(sub)
-
-    for comp in sccs(reachable, succ):
-        edges = _internal_transitions(structure, comp)
-        if _loopable(comp, edges):
-            visit(comp)
+        for q in members:
+            if not kept >> q & 1:
+                comp = _loopable_scc(succ, pred, members[0], mask & ~(1 << q))
+                if comp & kept == kept:
+                    stack.append((comp, kept))
+                kept |= 1 << q
     return out
 
 
@@ -131,7 +158,7 @@ def loopable_transition_sets(
         state_sets = [s for s, _ in loopable_state_sets(structure, capacity)]
     out = []
     for states in state_sets:
-        edges = sorted(_internal_transitions(structure, states))
+        edges = sorted(t for q in states for t in structure.transitions_from(q) if t[2] in states)
         for mask in _spanning_masks(states, edges):
             out.append((states, frozenset(e for i, e in enumerate(edges) if mask >> i & 1)))
             if len(out) > capacity:
@@ -150,18 +177,9 @@ def _spanning_masks(states: frozenset[int], edges: list[Transition]):
         succ[local[p]].append((1 << i, local[q]))
         pred[local[q]].append((1 << i, local[p]))
 
-    def reaches_all(adj, mask):
-        # from min(states), which has local index 0
-        seen, stack = 1, [0]
-        while stack:
-            for bit, v in adj[stack.pop()]:
-                if mask & bit and not seen >> v & 1:
-                    seen |= 1 << v
-                    stack.append(v)
-        return seen == everyone
-
     def spans(mask):
-        return mask != 0 and reaches_all(succ, mask) and reaches_all(pred, mask)
+        # from min(states), which has local index 0
+        return mask != 0 and _reach(succ, 0, mask) == everyone == _reach(pred, 0, mask)
 
     full = (1 << len(edges)) - 1
     if not spans(full):
@@ -264,19 +282,18 @@ def alternation_measure(
     best = max(up)
     starts = [i for i in range(len(ents)) if up[i] == best]
 
-    # map each start to its containing maximal SCC, then drop SCCs reachable
-    # from another start's SCC
-    structure = acceptor.structure
-    reachable = structure.reachable_states()
-    comps = sccs(reachable, structure.delta.__getitem__)
-    scc_of = {q: idx for idx, comp in enumerate(comps) for q in comp}
-    start_sccs = {scc_of[next(iter(ents[i].states))] for i in starts}
-    below = {
-        s: {scc_of[q] for q in bfs_order(min(comps[s]), structure.delta.__getitem__)} - {s}
-        for s in start_sccs
-    }
-    minimal = {s for s in start_sccs if not any(s in below[o] for o in start_sccs)}
-    verdicts = {ents[i].accepting for i in starts if scc_of[next(iter(ents[i].states))] in minimal}
+    # keep the starts whose maximal SCC no other start's SCC reaches: a start
+    # at q is dropped when some start at p reaches q but q does not reach p
+    succ, _ = _state_graph(acceptor.structure)
+    everyone = (1 << acceptor.structure.state_count) - 1
+    anchor = {i: min(ents[i].states) for i in starts}
+    reach = {i: _reach(succ, anchor[i], everyone) for i in starts}
+    minimal = [
+        i
+        for i in starts
+        if not any(reach[j] >> anchor[i] & 1 and not reach[i] >> anchor[j] & 1 for j in starts)
+    ]
+    verdicts = {ents[i].accepting for i in minimal}
     if verdicts == {True}:
         polarity = "+"
     elif verdicts == {False}:
@@ -285,10 +302,7 @@ def alternation_measure(
         polarity = "+-"
 
     # canonical witness chain from the first minimal-SCC start in sort order
-    chain_start = min(
-        (i for i in starts if scc_of[next(iter(ents[i].states))] in minimal),
-        key=lambda i: sorted(keys[i]),
-    )
+    chain_start = min(minimal, key=lambda i: sorted(keys[i]))
     chain = []
     i = chain_start
     while i != -1:

@@ -66,11 +66,14 @@ def parse_oaf(text: str) -> Acceptor:
     def fail(no, reason):
         raise ParseError(no, reason)
 
-    def state(no, tok):
+    def integer(no, tok, what):
         try:
-            q = int(tok)
+            return int(tok)
         except ValueError:
-            fail(no, f"expected a state id, got {tok!r}")
+            fail(no, f"expected {what}, got {tok!r}")
+
+    def state(no, tok):
+        q = integer(no, tok, "a state id")
         if state_count is not None and not (0 <= q < state_count):
             fail(no, f"state {q} out of range")
         return q
@@ -116,7 +119,7 @@ def parse_oaf(text: str) -> Acceptor:
             elif sub == "color":
                 if len(toks) != 4:
                     fail(no, "acc color needs: state color")
-                acc_colors[state(no, toks[2])] = int(toks[3])
+                acc_colors[state(no, toks[2])] = integer(no, toks[3], "a color")
             elif sub == "set":
                 if len(toks) < 3:
                     fail(no, "acc set needs at least one state")

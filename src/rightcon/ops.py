@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import UnsupportedConversion
+from .graph import bfs_order
 from .loops import (
     DEFAULT_CAPACITY,
     loopable_state_sets,
@@ -34,24 +34,14 @@ class Product:
 def product(a: TransitionStructure, b: TransitionStructure) -> Product:
     """Reachable synchronous product with its pairing map."""
     check_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        pa, pb = queue.popleft()
-        row = []
-        for i in range(len(a.alphabet)):
-            t = (a.delta[pa][i], b.delta[pb][i])
-            if t not in ids:
-                ids[t] = len(order)
-                order.append(t)
-                queue.append(t)
-            row.append(ids[t])
-        rows.append(tuple(row))
-    structure = TransitionStructure(a.alphabet, len(order), 0, tuple(rows))
-    return Product(structure, tuple(order))
+
+    def succ(pair):
+        return zip(a.delta[pair[0]], b.delta[pair[1]])
+
+    order = bfs_order((a.initial, b.initial), succ)
+    ids = {pair: i for i, pair in enumerate(order)}
+    rows = tuple(tuple(ids[t] for t in succ(pair)) for pair in order)
+    return Product(TransitionStructure(a.alphabet, len(order), 0, rows), tuple(order))
 
 
 def complement(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Acceptor:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .congruence import rightcon_quotient, shortest_word_to
@@ -96,24 +95,23 @@ class ProfileMonoid:
         ]
         self.elements: list[Profile] = []
         self.by_key: dict = {}
-        queue = deque()
-        for g in self.generators:
-            k = self.key(g)
+        # right[i][j]: index of elements[i] composed with generators[j]
+        self.right: list[list[int]] = []
+
+        def index_of(p: Profile) -> int:
+            k = self.key(p)
             if k not in self.by_key:
+                if len(self.elements) >= capacity:
+                    raise CapacityExceeded("profile monoid", capacity)
                 self.by_key[k] = len(self.elements)
-                self.elements.append(g)
-                queue.append(g)
-        while queue:
-            e = queue.popleft()
-            for g in self.generators:
-                c = compose(e, g)
-                k = self.key(c)
-                if k not in self.by_key:
-                    if len(self.elements) >= capacity:
-                        raise CapacityExceeded("profile monoid", capacity)
-                    self.by_key[k] = len(self.elements)
-                    self.elements.append(c)
-                    queue.append(c)
+                self.elements.append(p)
+            return self.by_key[k]
+
+        for g in self.generators:
+            index_of(g)
+        # breadth-first: elements are expanded in the order they are found
+        for e in self.elements:
+            self.right.append([index_of(compose(e, g)) for g in self.generators])
 
     def key(self, p: Profile):
         loop_key = self.acceptor.acceptance.loop_key
@@ -249,9 +247,7 @@ def _syntactic_classes(acceptor: Acceptor, monoid: ProfileMonoid):
                 state_cls[p] = i
 
     # generator multiplication tables over elements
-    right = [
-        [monoid.element_index(compose(e, g)) for g in monoid.generators] for e in els
-    ]
+    right = monoid.right
     left = [
         [monoid.element_index(compose(g, e)) for g in monoid.generators] for e in els
     ]

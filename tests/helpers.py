@@ -178,6 +178,40 @@ def brute_flipped_children(acc, label):
 # ------------------------------------------------------ naive loop sets
 
 
+def naive_strongly_connected(structure, states):
+    """Does every state of `states` reach every other inside it?  A
+    singleton needs a self-loop.  Found by naive closure from each state."""
+    if len(states) == 1:
+        q = next(iter(states))
+        return q in structure.delta[q]
+    for src in states:
+        seen = {src}
+        changed = True
+        while changed:
+            changed = False
+            for p in list(seen):
+                for r in structure.delta[p]:
+                    if r in states and r not in seen:
+                        seen.add(r)
+                        changed = True
+        if seen != states:
+            return False
+    return bool(states)
+
+
+def brute_loopable_state_sets(structure):
+    """Every strongly connected set of reachable states, found by trying
+    every nonempty subset.  Returns (states, internal transitions) pairs."""
+    reachable = sorted(structure.reachable_states())
+    out = []
+    for bits in range(1, 1 << len(reachable)):
+        states = frozenset(q for i, q in enumerate(reachable) if bits >> i & 1)
+        if naive_strongly_connected(structure, states):
+            trans = frozenset(t for t in structure.all_transitions() if t[0] in states and t[2] in states)
+            out.append((states, trans))
+    return out
+
+
 def brute_loopable_transition_sets(structure):
     """Every strongly connected set of reachable transitions, found by
     trying every subset and testing it by naive reachability; a singleton

@@ -23,12 +23,12 @@ from rightcon import (
     trivial_decomposition,
     validate,
 )
-from rightcon.congruence import partition_language_equivalent
+from rightcon.congruence import _parity_certificate, partition_language_equivalent
 from rightcon.errors import NotMuller, NotTrivial
 from rightcon.model import Alphabet, alphabet
 from rightcon.ops import combine
 
-from helpers import all_fixtures, naive_accepts, random_acceptor, random_lasso
+from helpers import all_fixtures, forced_verdicts, naive_accepts, random_acceptor, random_lasso
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -258,6 +258,26 @@ class TestClassify:
                 if cert is not None:
                     cand = validate(c.quotient.structure, cert)
                     assert equivalent(a, cand)[0]
+
+    def test_parity_certificate_ignores_table_order(self):
+        # classify hands the quotient loop table to the peeling in the order
+        # the loop enumeration lists sets; the coloring must not depend on it
+        rng = random.Random("classify/ip-order")
+        inputs = [(name, a) for name, a in all_fixtures()]
+        inputs += [(i, random_acceptor(rng)) for i in range(60)]
+        checked = 0
+        for tag, a in inputs:
+            c = classify(a)
+            if not c.flags["IP"]:
+                continue
+            # the quotient image of every loop with the verdict its lasso gets
+            items = list({s: v for s, _, v in forced_verdicts(a, c.quotient)}.items())
+            for _ in range(6):
+                got = _parity_certificate(c.quotient.structure, dict(items))
+                assert got == c.certificates["IP"], tag
+                rng.shuffle(items)
+            checked += 1
+        assert checked >= 40
 
 
 class TestTrivialDecomposition:

@@ -19,14 +19,18 @@ from rightcon import (
     weak_to_cobuchi,
 )
 from rightcon.errors import CapacityExceeded, NotWeak
-from rightcon.loops import loopable_state_sets, loopable_transition_sets
+from rightcon.loops import is_loopable, loopable_state_sets, loopable_transition_sets
 from rightcon.model import Alphabet
+from rightcon.ops import combine
 
 from helpers import (
     AB,
     all_fixtures,
+    brute_loopable_state_sets,
     brute_loopable_transition_sets,
     naive_chain_flags,
+    naive_strongly_connected,
+    random_acceptor,
     random_structure,
 )
 
@@ -115,6 +119,37 @@ class TestLoopTables:
             alphabet = AB if i % 2 else abc
             n = rng.randint(1, 6 if alphabet is AB else 4)
             check(random_structure(rng, n, alphabet), i)
+
+    def test_state_sets_match_brute_force(self):
+        def check(structure, tag):
+            got = loopable_state_sets(structure)
+            assert len({s for s, _ in got}) == len(got), tag  # no duplicates
+            assert set(got) == set(brute_loopable_state_sets(structure)), tag
+
+        for name, a in all_fixtures():
+            if len(a.structure.reachable_states()) <= 12:
+                check(a.structure, name)
+        abc = Alphabet(("a", "b", "c"))
+        rng = random.Random("loops/brute-states")
+        for i in range(200):
+            alphabet = AB if i % 2 else abc
+            check(random_structure(rng, rng.randint(1, 9), alphabet), i)
+        products = 0
+        while products < 6:
+            a, b = random_acceptor(rng, max_states=3), random_acceptor(rng, max_states=3)
+            structure = combine(a, b, "union").structure
+            if len(structure.reachable_states()) <= 12:
+                check(structure, ("combine", products))
+                products += 1
+
+    def test_loopable_test_matches_brute_force(self):
+        rng = random.Random("loops/is-loopable")
+        for i in range(200):
+            structure = random_structure(rng, rng.randint(1, 8), AB if i % 2 else Alphabet(("a", "b", "c")))
+            for _ in range(10):
+                states = frozenset(q for q in range(structure.state_count) if rng.random() < 0.5)
+                if states:
+                    assert is_loopable(structure, states) == naive_strongly_connected(structure, states), (i, states)
 
     def test_transition_sets_of_chosen_state_sets(self):
         structure = fixture("fig2_B").structure

@@ -254,6 +254,18 @@ class TestCli:
         code, out = self.run(capsys, "validate", "/nonexistent.oaf")
         assert code == 3 and "error:" in out.err
 
+    def test_non_integer_color_exit_3(self, capsys, tmp_path):
+        p = tmp_path / "bad.oaf"
+        p.write_text("oaf 1\ntype parity\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\nacc color 0 x\n")
+        code, out = self.run(capsys, "validate", str(p))
+        assert code == 3 and "line 7" in out.err and "'x'" in out.err
+
+    def test_non_utf8_file_exit_3(self, capsys, tmp_path):
+        p = tmp_path / "bad.oaf"
+        p.write_bytes(b"oaf 1\ntype buchi \xff\n")
+        code, out = self.run(capsys, "validate", str(p))
+        assert code == 3 and "line 2" in out.err
+
     def test_parse_error_exit_3(self, capsys, tmp_path):
         p = tmp_path / "bad.oaf"
         p.write_text("oaf 2\n")

@@ -90,6 +90,13 @@ class TestProfileMonoid:
         for e in m.elements:
             assert m.key(profile_of_word(a.structure, e.representative)) == m.key(e)
 
+    def test_right_table_composes_with_generators(self):
+        for name in ("fig3_M", "aab", "fig5_Dbad"):
+            m = profile_monoid(fixture(name))
+            assert len(m.right) == len(m.elements), name
+            for e, row in zip(m.elements, m.right):
+                assert row == [m.element_index(compose(e, g)) for g in m.generators], name
+
     def test_capacity(self):
         with pytest.raises(CapacityExceeded):
             profile_monoid(fixture("fig5_Dbad"), capacity=2)
