@@ -163,16 +163,26 @@ def _cmd_fixture(args):
     print(f"name={args.name}")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+        sizes = tuple(range(_positive_int(lo), _positive_int(hi) + 1))
+    else:
+        sizes = tuple(_positive_int(t) for t in text.split(","))
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no sizes in {text!r}")
+    return sizes
 
 
 def _cmd_experiment(args):
     cfg = ExperimentConfig(
-        sizes=_parse_sizes(args.sizes),
+        sizes=args.sizes,
         trials_per_size=args.trials,
         mode=args.mode,
         samples=args.samples,
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("-o", "--output", required=True)
     w.set_defaults(fn=_cmd_gen)
     r = gen_sub.add_parser("random")
-    r.add_argument("--states", type=int, required=True)
+    r.add_argument("--states", type=_positive_int, required=True)
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("-o", "--output", required=True)
     r.set_defaults(fn=_cmd_gen)
@@ -243,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fixture)
 
     p = sub.add_parser("experiment", help="quotient-isomorphism experiment")
-    p.add_argument("--sizes", required=True, help="e.g. 5..10 or 5,7,9")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--sizes", type=_parse_sizes, required=True, help="e.g. 5..10 or 5,7,9")
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=100000)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -130,44 +129,27 @@ def state_equivalent(
 
 
 def rightcon_quotient(acceptor: Acceptor) -> Quotient:
-    """Quotient of the structure by language equivalence of states."""
+    """Quotient of the structure by language equivalence of states.
+
+    Class ids follow the shortlex order of the representatives, the
+    shortlex-least words reaching each class.
+    """
     structure = acceptor.structure
     blocks = partition_language_equivalent(acceptor)
-    block_of = {}
-    for i, b in enumerate(blocks):
-        for q in b:
-            block_of[q] = i
+    block_of = {q: i for i, b in enumerate(blocks) for q in b}
 
-    # quotient ids in BFS discovery order from the initial class
-    ids = {block_of[structure.initial]: 0}
-    reps: list[tuple[str, ...]] = [()]
-    member = {0: structure.initial}
-    rows: list[tuple[int, ...]] = []
-    queue = deque([0])
-    discovered = [block_of[structure.initial]]
-    while queue:
-        cid = queue.popleft()
-        q = member[cid]
-        row = []
-        for i, sym in enumerate(structure.alphabet.symbols):
-            t = structure.delta[q][i]
-            tb = block_of[t]
-            if tb not in ids:
-                ids[tb] = len(ids)
-                member[ids[tb]] = t
-                reps.append(reps[cid] + (sym,))
-                discovered.append(tb)
-                queue.append(ids[tb])
-            row.append(ids[tb])
-        rows.append(tuple(row))
-    q_structure = TransitionStructure(
-        structure.alphabet, len(ids), 0, tuple(rows)
-    )
+    def succ(b):
+        # language equivalence is a right congruence: any member will do
+        return [block_of[t] for t in structure.delta[blocks[b][0]]]
+
+    discovered = bfs_order(block_of[structure.initial], succ)
+    ids = {b: i for i, b in enumerate(discovered)}
+    rows = tuple(tuple(ids[t] for t in succ(b)) for b in discovered)
+    q_structure = TransitionStructure(structure.alphabet, len(ids), 0, rows)
+    reps = tuple(shortest_word_to(q_structure, 0, c) for c in range(len(ids)))
     projection = {q: ids[b] for q, b in block_of.items()}
-    classes = tuple(
-        frozenset(blocks[b]) for b in discovered
-    )
-    return Quotient(q_structure, projection, tuple(reps), classes)
+    classes = tuple(frozenset(blocks[b]) for b in discovered)
+    return Quotient(q_structure, projection, reps, classes)
 
 
 def index(acceptor: Acceptor) -> int:
@@ -228,6 +210,17 @@ def _loop_lasso(
     return LassoWord(spoke, cycle)
 
 
+def _uniform_core(table: dict, verdict: bool, region: frozenset[int]) -> frozenset[int]:
+    """States on some loop inside region whose every loop inside region has
+    the given verdict."""
+    inside = [s for s in table if s <= region]
+    return frozenset(
+        q
+        for q in frozenset().union(*inside)
+        if all(table[s] == verdict for s in inside if q in s)
+    )
+
+
 def _parity_certificate(
     q_structure: TransitionStructure, table: dict
 ) -> Parity:
@@ -242,11 +235,7 @@ def _parity_certificate(
         verdict = table[region]
         if (color % 2 == 1) != verdict:
             raise AssertionError("peeling parity drifted from loop verdict")
-        core = {
-            q
-            for q in region
-            if all(table[s] == verdict for s in table if s <= region and q in s)
-        }
+        core = _uniform_core(table, verdict, region)
         if not core:
             raise AssertionError("peeling found no uniform-polarity states")
         for q in core:
@@ -354,24 +343,15 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         flags["IP"] = ip_ok
         if ip_ok:
             certificates["IP"] = _parity_certificate(quotient.structure, table)
-            f_star = frozenset(
-                q
-                for q in range(quotient.structure.state_count)
-                if any(q in s for s in table)
-                and all(table[s] for s in table if q in s)
-            )
+            everything = frozenset(range(quotient.structure.state_count))
+            f_star = _uniform_core(table, True, everything)
             ib_ok = all(s & f_star for s, v in table.items() if v)
             flags["IB"] = ib_ok
             if ib_ok:
                 certificates["IB"] = Buchi(f_star)
             else:
                 counterexamples["IB"] = ("accepting_loop_misses_core", f_star)
-            f_circ = frozenset(
-                q
-                for q in range(quotient.structure.state_count)
-                if any(q in s for s in table)
-                and all(not table[s] for s in table if q in s)
-            )
+            f_circ = _uniform_core(table, False, everything)
             ic_ok = all(s & f_circ for s, v in table.items() if not v)
             flags["IC"] = ic_ok
             if ic_ok:
@@ -414,22 +394,14 @@ def _cycle_dfa(structure: TransitionStructure, states: frozenset[int], anchor: i
     """Nonempty words looping anchor -> anchor visiting exactly `states`."""
     alphabet = structure.alphabet
     start = ("start",)
-    trans = {}
-    seen = {start}
-    queue = deque([(start, anchor, frozenset([anchor]))])
-    accepting = set()
-    while queue:
-        node, q, visited = queue.popleft()
-        for i, sym in enumerate(alphabet.symbols):
-            t = structure.delta[q][i]
-            if t not in states:
-                continue
-            nvisited = visited | {t}
-            nnode = (t, nvisited)
-            trans[(node, sym)] = nnode
-            if nnode not in seen:
-                seen.add(nnode)
-                queue.append((nnode, t, nvisited))
-            if t == anchor and nvisited == states:
-                accepting.add(nnode)
-    return Dfa(alphabet, start, trans, frozenset(accepting))
+
+    def edges(node):
+        q, visited = (anchor, frozenset([anchor])) if node == start else node
+        for sym, t in zip(alphabet.symbols, structure.delta[q]):
+            if t in states:
+                yield sym, (t, visited | {t})
+
+    nodes = bfs_order(start, lambda node: [v for _, v in edges(node)])
+    trans = {(node, sym): v for node in nodes for sym, v in edges(node)}
+    goal = (anchor, states)
+    return Dfa(alphabet, start, trans, frozenset([goal] if goal in nodes else []))

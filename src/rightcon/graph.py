@@ -3,6 +3,10 @@
 Graphs are given by a successor function; vertices are any hashable values.
 Every search follows the order in which its inputs list vertices and edges,
 so its results do not depend on hash order.
+
+They serve reachable states, the quotient and its representatives, the
+counting witness, trivial-decomposition blocks, subset and product
+constructions, lasso spokes, covering walks and pair-product SCCs.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from .errors import (
     UnknownSymbol,
     ValidationError,
 )
+from .graph import bfs_order
 
 Transition = tuple[int, str, int]
 
@@ -88,15 +89,7 @@ class TransitionStructure:
         return out
 
     def reachable_states(self) -> frozenset[int]:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for t in self.delta[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return frozenset(seen)
+        return frozenset(bfs_order(self.initial, self.delta.__getitem__))
 
     def reroot(self, initial: int) -> "TransitionStructure":
         return TransitionStructure(self.alphabet, self.state_count, initial, self.delta)

@@ -84,6 +84,10 @@ class ProfileMonoid:
     depends on nothing else, so words with equal keys are merged; the
     breadth-first search keeps the shortlex-least word of each as its
     representative.
+
+    `right` is the monoid's multiplication: as the key is a congruence,
+    elements[i] times elements[j] is `right` walked from i along the
+    representative of j.  Only this closure composes profiles.
     """
 
     def __init__(self, acceptor: Acceptor, capacity: int = MONOID_CAPACITY):
@@ -172,11 +176,7 @@ def is_respective(acceptor: Acceptor):
     monoid = profile_monoid(acceptor)
     structure = acceptor.structure
     reachable = sorted(proj)
-    member = {}
-    for q in reachable:
-        c = proj[q]
-        if c not in member or q < member[c]:
-            member[c] = q
+    member = {c: min(states) for c, states in enumerate(quotient.classes)}
     for e in monoid.elements:
         qmap = {c: proj[e.targets[member[c]]] for c in member}
         for q in reachable:
@@ -204,15 +204,24 @@ def respective_pair_check(acceptor: Acceptor, x, u) -> bool:
     return _orbit_stabilizes(start, step, qs.state_count)
 
 
-def _syntactic_classes(acceptor: Acceptor, monoid: ProfileMonoid):
+def _times(monoid: ProfileMonoid, i: int, word) -> int:
+    """Index of elements[i] times the profile of word, read off `right`."""
+    symbol_index = monoid.acceptor.alphabet.index
+    for sym in word:
+        i = monoid.right[i][symbol_index(sym)]
+    return i
+
+
+def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
     """Two-context congruence classes over the monoid elements.
 
     Start from a coloring by (linear-context signature, cycle acceptance
-    from every reachable state) and refine to a two-sided congruence under
-    the letter generators.
+    from every reachable state), where the linear context is read through
+    the quotient projection `proj`, and refine to a two-sided congruence
+    under the letter generators.
     """
-    structure = acceptor.structure
-    reachable = sorted(structure.reachable_states())
+    acceptor = monoid.acceptor
+    reachable = sorted(proj)
     els = monoid.elements
     n_el = len(els)
 
@@ -221,41 +230,16 @@ def _syntactic_classes(acceptor: Acceptor, monoid: ProfileMonoid):
         tuple(omega_accept(acceptor, monoid.identity, e, p) for e in els)
         for p in reachable
     ]
-    pos = {p: i for i, p in enumerate(reachable)}
-
-    # state classes: p and p' agree on cycle acceptance after any word
-    state_cls = {}
-    by_row: dict = {}
-    for p in reachable:
-        by_row.setdefault(acc1[pos[p]], []).append(p)
-    for i, row in enumerate(sorted(by_row.values(), key=min)):
-        for p in row:
-            state_cls[p] = i
-    while True:
-        sig = {
-            p: (state_cls[p],)
-            + tuple(state_cls[g.targets[p]] for g in monoid.generators)
-            for p in reachable
-        }
-        groups: dict = {}
-        for p in reachable:
-            groups.setdefault(sig[p], []).append(p)
-        if len(groups) == len(set(state_cls.values())):
-            break
-        for i, grp in enumerate(sorted(groups.values(), key=min)):
-            for p in grp:
-                state_cls[p] = i
 
     # generator multiplication tables over elements
     right = monoid.right
-    left = [
-        [monoid.element_index(compose(g, e)) for g in monoid.generators] for e in els
-    ]
+    gens = [monoid.element_index(g) for g in monoid.generators]
+    left = [[_times(monoid, g, e.representative) for g in gens] for e in els]
 
     def base_color(i):
         e = els[i]
-        lin = tuple(state_cls[e.targets[p]] for p in reachable)
-        cyc = tuple(acc1[pos[p]][i] for p in reachable)
+        lin = tuple(proj[e.targets[p]] for p in reachable)
+        cyc = tuple(row[i] for row in acc1)
         return (lin, cyc)
 
     colors: dict = {}
@@ -285,19 +269,21 @@ def is_non_counting(acceptor: Acceptor):
     """Insensitivity to pumping v^n vs v^{n+1} in every context.
 
     Decided as aperiodicity of the two-context quotient of the profile
-    monoid.  Returns (verdict, witness or None).  On "counting" the witness
+    monoid, whose state classes are those of the right-congruence quotient.
+    Returns (verdict, witness or None).  On "counting" the witness
     is a concrete (u, v, w-lasso, n) where u.v^n.w and u.v^{n+1}.w differ
     in membership, built for the shortest v whose powers cycle in
     the quotient.  It pumps a finite prefix only, so it is None when v
     counts only inside the periodic part, as in u.(v^n.w)^omega.
     """
+    proj = rightcon_quotient(acceptor).projection
     monoid = profile_monoid(acceptor)
-    cls = _syntactic_classes(acceptor, monoid)
+    cls = _syntactic_classes(monoid, proj)
     els = monoid.elements
     n_cls = len(set(cls))
 
     def el_mult(i, j):
-        return monoid.element_index(compose(els[i], els[j]))
+        return _times(monoid, i, els[j].representative)
 
     def cls_power_periodic(i):
         # follow element powers, compare class projections
@@ -316,30 +302,27 @@ def is_non_counting(acceptor: Acceptor):
     v_idx = next((i for i in by_word if cls_power_periodic(i)), None)
     if v_idx is None:
         return True, None
-    return False, _counting_witness(acceptor, els[v_idx].representative)
+    return False, _counting_witness(acceptor, els[v_idx].representative, proj)
 
 
-def _counting_witness(acceptor: Acceptor, v):
+def _counting_witness(acceptor: Acceptor, v, proj: dict):
     """(u, v, w, n) with u.v^n.w and u.v^{n+1}.w of different membership,
     or None if no such witness exists for this v.
 
     For each reachable state q in breadth-first order and n = 1..|Q|+1,
-    the states q.v^n and q.v^{n+1} are compared exactly; the sequence q.v^n
-    is periodic within |Q| + 1 steps, so no larger n can give a new pair.
+    the first pair q.v^n, q.v^{n+1} in different classes of the quotient
+    projection `proj` is the witness; the sequence q.v^n is periodic within
+    |Q| + 1 steps, so no larger n can give a new pair.  Only that pair is
+    searched for the distinguishing lasso w.
     """
     structure = acceptor.structure
-    view = ParityView(acceptor)
-    checked = set()
     for q in bfs_order(structure.initial, structure.delta.__getitem__):
         p = structure.run(q, v)
         for n in range(1, structure.state_count + 2):
             p_next = structure.run(p, v)
-            pair = (min(p, p_next), max(p, p_next))
-            if p != p_next and pair not in checked:
-                checked.add(pair)
-                w = find_discrepancy(view, view, p, p_next)
-                if w is not None:
-                    u = shortest_word_to(structure, structure.initial, q)
-                    return u, v, w, n
+            if proj[p] != proj[p_next]:
+                view = ParityView(acceptor)
+                u = shortest_word_to(structure, structure.initial, q)
+                return u, v, find_discrepancy(view, view, p, p_next), n
             p = p_next
     return None

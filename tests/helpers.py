@@ -388,6 +388,15 @@ def words_up_to(alphabet: Alphabet, lo: int, hi: int):
         yield from itertools.product(alphabet.symbols, repeat=length)
 
 
+def shortlex_first_words(structure, class_of):
+    """The shortlex-least word reaching each class of the reachable states,
+    keyed by class in the order word enumeration first reaches them."""
+    first: dict = {}
+    for w in words_up_to(structure.alphabet, 0, structure.state_count - 1):
+        first.setdefault(class_of(structure.run(structure.initial, w)), w)
+    return first
+
+
 def oracle_respective_bruteforce(acceptor, max_x: int = 3, max_u: int = 4):
     """Bounded search for a pair (x, u) where x.u^omega is accepted but the
     quotient orbit of [x] under u never reaches a fixed point."""

@@ -28,7 +28,15 @@ from rightcon.errors import NotMuller, NotTrivial
 from rightcon.model import Alphabet, alphabet
 from rightcon.ops import combine
 
-from helpers import all_fixtures, forced_verdicts, naive_accepts, random_acceptor, random_lasso
+from helpers import (
+    ACCEPTANCE_KINDS,
+    all_fixtures,
+    forced_verdicts,
+    naive_accepts,
+    random_acceptor,
+    random_lasso,
+    shortlex_first_words,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -85,13 +93,24 @@ class TestQuotient:
         assert q.classes == tuple(frozenset({i}) for i in range(4))
 
     def test_projection_consistent_with_representatives(self):
-        for name in ("fig3_M", "L1", "fig5_Dbad"):
-            a = fixture(name)
+        # class ids follow the shortlex order of the representatives, and
+        # each is the shortlex-least word reaching its class, as found by
+        # enumerating words
+        rng = random.Random("quotient/representatives")
+        inputs = all_fixtures() + [
+            (f"random/{kind}/{i}", random_acceptor(rng, max_states=6, kinds=(kind,)))
+            for kind in ACCEPTANCE_KINDS
+            for i in range(8)
+        ]
+        for name, a in inputs:
             q = rightcon_quotient(a)
             s = a.structure
             for cls_id, rep in enumerate(q.class_representatives):
-                assert q.projection[s.run(s.initial, rep)] == cls_id
-                assert q.structure.run(q.structure.initial, rep) == cls_id
+                assert q.projection[s.run(s.initial, rep)] == cls_id, name
+                assert q.structure.run(q.structure.initial, rep) == cls_id, name
+            first = shortlex_first_words(s, q.projection.__getitem__)
+            assert list(first) == list(range(len(q.classes))), name
+            assert tuple(first.values()) == q.class_representatives, name
 
     def test_quotient_classes_partition_reachable(self):
         for name in ("fig3_B", "fig6_P", "aab"):
@@ -291,7 +310,7 @@ class TestTrivialDecomposition:
 
     def test_block_words_loop_into_accepting_lassos(self):
         rng = random.Random(13)
-        for name in ("L2", "fig2_M"):
+        for name in ("L2", "fig2_M", "fig7_M3"):
             a = fixture(name)
             dfas = trivial_decomposition(a)
             assert dfas

@@ -280,3 +280,23 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--sizes", "5..x"],
+            ["experiment", "--sizes", "0..1"],
+            ["experiment", "--sizes", "5..3"],
+            ["experiment", "--sizes", "3,,4"],
+            ["experiment", "--sizes", "3", "--trials", "-1"],
+            ["experiment", "--sizes", "3", "--trials", "0"],
+            ["gen", "random", "--states", "0", "--seed", "1", "-o", "/tmp/x.oaf"],
+            ["gen", "random", "--states", "two", "--seed", "1", "-o", "/tmp/x.oaf"],
+        ],
+    )
+    def test_bad_arguments_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "positive integer" in err or "no sizes" in err

@@ -96,6 +96,14 @@ class TestProfileMonoid:
             assert len(m.right) == len(m.elements), name
             for e, row in zip(m.elements, m.right):
                 assert row == [m.element_index(compose(e, g)) for g in m.generators], name
+            # walking right along f's representative multiplies by f
+            symbol_index = m.acceptor.alphabet.index
+            for i, e in enumerate(m.elements):
+                for f in m.elements:
+                    j = i
+                    for sym in f.representative:
+                        j = m.right[j][symbol_index(sym)]
+                    assert j == m.element_index(compose(e, f)), name
 
     def test_capacity(self):
         with pytest.raises(CapacityExceeded):
