@@ -169,6 +169,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_sizes(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -236,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an acceptor")
     gen_sub = p.add_subparsers(dest="kind", required=True)
     w = gen_sub.add_parser("wagner")
-    w.add_argument("n", type=int)
-    w.add_argument("m", type=int)
+    w.add_argument("n", type=_non_negative_int)
+    w.add_argument("m", type=_non_negative_int)
     w.add_argument("p", choices=["+", "-", "+-"])
     w.add_argument("-o", "--output", required=True)
     w.set_defaults(fn=_cmd_gen)
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=_positive_int, default=100000)
     p.set_defaults(fn=_cmd_experiment)
 
     return parser

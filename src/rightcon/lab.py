@@ -9,7 +9,7 @@ from .congruence import partition_language_equivalent
 from .errors import SamplingExhausted
 from .loops import is_loopable
 from .model import Acceptor, Alphabet, MullerStates, TransitionStructure, validate
-from .semantics import accepts_indices
+from .semantics import loop_verdict
 
 _RETRY_BOUND = 100000
 
@@ -91,9 +91,50 @@ class ExperimentReport:
         return out
 
 
+def _draw_lasso(rng: random.Random, n: int, k: int) -> tuple[list[int], list[int]]:
+    """Spoke and cycle, as symbol indices over k symbols, of one sampled
+    lasso for an n-state acceptor.
+
+    The spoke has geometric length, at most 2n, and its symbols are
+    rng.randrange(k); the cycle has rng.randint(1, 2n) symbols.  Those calls
+    are inlined as the random module makes them, getrandbits of the bound's
+    bit length redrawn until it falls below the bound, so the draws and the
+    state of rng after them are the same.
+    """
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    k_bits = k.bit_length()
+    width = 2 * n
+    spoke_len = 0
+    while random_() < 0.5 and spoke_len < width:
+        spoke_len += 1
+    spoke = []
+    for _ in range(spoke_len):
+        i = getrandbits(k_bits)
+        while i >= k:
+            i = getrandbits(k_bits)
+        spoke.append(i)
+    width_bits = width.bit_length()
+    cycle_len = getrandbits(width_bits)
+    while cycle_len >= width:
+        cycle_len = getrandbits(width_bits)
+    cycle = []
+    for _ in range(cycle_len + 1):
+        i = getrandbits(k_bits)
+        while i >= k:
+            i = getrandbits(k_bits)
+        cycle.append(i)
+    return spoke, cycle
+
+
 def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random) -> bool:
     """Replay of the sampling procedure: are all states pairwise split by
     random lassos?
+
+    Each step draws one lasso and splits every block of states that no
+    earlier lasso told apart by their verdicts on it.  Only blocks of two or
+    more states are kept, and each state reached after the spoke is
+    simulated once per lasso.
 
     Equivalent states are never split, so if the exact partition is not
     discrete the answer is already False.  It is consulted once, after the
@@ -101,32 +142,35 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
     lassos drawn and the verdict are those of the full replay.
     """
     structure = acceptor.structure
+    delta = structure.delta
     n = structure.state_count
-    blocks = [list(range(n))]
-    warmup = 1000
-
     k = len(structure.alphabet)
+    warmup = 1000
+    live = [list(range(n))] if n > 1 else []
     for step in range(samples):
-        if all(len(b) == 1 for b in blocks):
+        if not live:
             return True
         if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
             return False
-        spoke_len = 0
-        while rng.random() < 0.5 and spoke_len < 2 * n:
-            spoke_len += 1
-        spoke_idx = tuple(rng.randrange(k) for _ in range(spoke_len))
-        cycle_idx = tuple(rng.randrange(k) for _ in range(rng.randint(1, 2 * n)))
-        new = []
-        for b in blocks:
-            if len(b) == 1:
-                new.append(b)
-                continue
-            groups: dict = {}
-            for q in b:
-                groups.setdefault(accepts_indices(acceptor, q, spoke_idx, cycle_idx), []).append(q)
-            new.extend(groups.values())
-        blocks = new
-    return all(len(b) == 1 for b in blocks)
+        spoke, cycle = _draw_lasso(rng, n, k)
+        verdicts: dict[int, bool] = {}
+        split = []
+        for block in live:
+            accepted, rejected = [], []
+            for q in block:
+                p = q
+                for i in spoke:
+                    p = delta[p][i]
+                verdict = verdicts.get(p)
+                if verdict is None:
+                    verdict = verdicts[p] = loop_verdict(acceptor, p, cycle)
+                (accepted if verdict else rejected).append(q)
+            if len(accepted) > 1:
+                split.append(accepted)
+            if len(rejected) > 1:
+                split.append(rejected)
+        live = split
+    return not live
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -33,7 +33,11 @@ from rightcon import (
     rightcon_quotient,
     validate,
 )
-from rightcon.congruence import closed_walk_covering, shortest_word_to
+from rightcon.congruence import (
+    closed_walk_covering,
+    partition_language_equivalent,
+    shortest_word_to,
+)
 from rightcon.loops import loopable_state_sets, loopable_transition_sets
 
 AB = Alphabet(("a", "b"))
@@ -149,6 +153,37 @@ def naive_accepts(acceptor, w, from_state=None):
     """Membership of w by its naive infinity sets and naive_verdict."""
     states, trans = naive_infinity_sets(acceptor.structure, w, from_state)
     return naive_verdict(acceptor.acceptance, states, trans)
+
+
+def naive_sampled_distinguished(acceptor, samples: int, rng: random.Random) -> bool:
+    """The sampled replay in its plain form: lassos drawn with rng.randrange
+    and rng.randint, every block re-split each step by naive_accepts, and
+    the exact partition consulted once, at step 1000, for a trial that
+    sampling has not settled by then."""
+    structure = acceptor.structure
+    n = structure.state_count
+    syms = structure.alphabet.symbols
+    k = len(syms)
+    blocks = [list(range(n))]
+    for step in range(samples):
+        if all(len(b) == 1 for b in blocks):
+            return True
+        if step == 1000 and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
+            return False
+        spoke_len = 0
+        while rng.random() < 0.5 and spoke_len < 2 * n:
+            spoke_len += 1
+        spoke = tuple(syms[rng.randrange(k)] for _ in range(spoke_len))
+        cycle = tuple(syms[rng.randrange(k)] for _ in range(rng.randint(1, 2 * n)))
+        w = LassoWord(spoke, cycle)
+        new = []
+        for b in blocks:
+            groups: dict = {}
+            for q in b:
+                groups.setdefault(naive_accepts(acceptor, w, q), []).append(q)
+            new.extend(groups.values())
+        blocks = new
+    return all(len(b) == 1 for b in blocks)
 
 
 # ------------------------------------------------------ naive parity tree

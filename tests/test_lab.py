@@ -16,6 +16,8 @@ from rightcon.lab import _sampled_distinguished
 from rightcon.graph import sccs
 from rightcon.model import MullerStates
 
+from helpers import ACCEPTANCE_KINDS, naive_sampled_distinguished, random_acceptor
+
 
 class TestRandomDma:
     def test_deterministic(self):
@@ -74,6 +76,40 @@ class TestSampledDistinguished:
 
         with pytest.raises(SamplingExhausted):
             random_dma(1, seed=3, accepting_sets=2)
+
+
+class TestSampledReplayOracle:
+    """The replay against its plain form, draw for draw: both get a
+    fresh generator of the same seed, and must agree on the verdict and on
+    the generator's state afterwards.  500 and 5000 samples straddle the
+    warm-up at step 1000."""
+
+    @staticmethod
+    def agree(acceptor, samples, seed):
+        ours, twin = random.Random(seed), random.Random(seed)
+        verdict = _sampled_distinguished(acceptor, samples, ours)
+        assert verdict == naive_sampled_distinguished(acceptor, samples, twin), seed
+        assert ours.getstate() == twin.getstate(), seed
+        return verdict
+
+    @pytest.mark.parametrize("samples", [30, 500, 5000])
+    def test_all_acceptance_kinds(self, samples):
+        rng = random.Random("replay/kinds")
+        verdicts = set()
+        for i in range(25):
+            kind = ACCEPTANCE_KINDS[i % len(ACCEPTANCE_KINDS)]
+            a = random_acceptor(rng, 6, kinds=(kind,))
+            verdicts.add(self.agree(a, samples, f"replay/{kind}/{i}"))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("samples", [30, 500, 5000])
+    def test_random_dmas(self, samples):
+        verdicts = set()
+        for n in range(3, 9):
+            for t in range(5):
+                a = random_dma(n, f"replay/{t}")
+                verdicts.add(self.agree(a, samples, f"replay/{n}/{t}"))
+        assert verdicts == {True, False}
 
 
 class TestRunExperiment:

@@ -224,6 +224,8 @@ class TestCli:
         code, out = self.run(capsys, "gen", "wagner", "2", "1", "+", "-o", out_path)
         assert code == 0 and "states=6" in out.out
         parse_oaf(open(out_path).read())
+        code, out = self.run(capsys, "gen", "wagner", "0", "0", "+", "-o", out_path)
+        assert code == 0 and "states=1" in out.out
 
     def test_gen_random(self, capsys, tmp_path):
         out_path = str(tmp_path / "r.oaf")
@@ -292,6 +294,10 @@ class TestCli:
             ["experiment", "--sizes", "3", "--trials", "0"],
             ["gen", "random", "--states", "0", "--seed", "1", "-o", "/tmp/x.oaf"],
             ["gen", "random", "--states", "two", "--seed", "1", "-o", "/tmp/x.oaf"],
+            ["experiment", "--sizes", "3", "--trials", "2", "--mode", "sampled", "--samples", "-5"],
+            ["experiment", "--sizes", "3", "--trials", "2", "--mode", "sampled", "--samples", "0"],
+            ["gen", "wagner", "-1", "0", "+", "-o", "/tmp/x.oaf"],
+            ["gen", "wagner", "0", "-2", "+", "-o", "/tmp/x.oaf"],
         ],
     )
     def test_bad_arguments_exit_2(self, capsys, argv):
@@ -299,4 +305,4 @@ class TestCli:
             main(argv)
         assert e.value.code == 2
         err = capsys.readouterr().err
-        assert "positive integer" in err or "no sizes" in err
+        assert any(m in err for m in ("positive integer", "non-negative integer", "no sizes"))
