@@ -85,7 +85,10 @@ def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
     One product of the acceptor's parity machine with itself, rooted at
     every pair of reachable states, settles all pairs at once: a pair is
     inequivalent exactly when its root reaches an SCC on which the two
-    copies disagree, the SCCs `find_discrepancy` would accept.  Blocks list
+    copies disagree, the SCCs `find_discrepancy` would accept.  The nodes
+    reaching such an SCC grow after each one found, and the search stops
+    once every root pair is among them: most random acceptors are their own
+    quotient, and the first SCC already splits every pair.  Blocks list
     states in breadth-first order; each state joins the block of the first
     earlier representative it is equivalent to.
     """
@@ -99,13 +102,15 @@ def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
         preds.setdefault(v, []).append(u)
     bad = set()
     for nodes, _, _, _ in discrepant_components(edges):
-        bad |= nodes
-    frontier = list(bad)
-    while frontier:
-        for u in preds.get(frontier.pop(), ()):
-            if u not in bad:
-                bad.add(u)
-                frontier.append(u)
+        frontier = [v for v in nodes if v not in bad]
+        bad.update(frontier)
+        while frontier:
+            for u in preds.get(frontier.pop(), ()):
+                if u not in bad:
+                    bad.add(u)
+                    frontier.append(u)
+        if all(r in bad for r in roots):
+            break
     blocks: list[list[int]] = []
     for q in order:
         for b in blocks:

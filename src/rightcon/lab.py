@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 from .congruence import partition_language_equivalent
 from .errors import SamplingExhausted
-from .loops import is_loopable
+from .loops import _loopable_scc, _state_graph
 from .model import Acceptor, Alphabet, MullerStates, TransitionStructure, validate
-from .semantics import loop_verdict
+from .semantics import LoopVerdicts
 
 _RETRY_BOUND = 100000
 
@@ -42,13 +42,15 @@ def random_dma(
             break
     else:
         raise SamplingExhausted("no fully reachable structure found")
+    graph = _state_graph(structure)
     table = []
     for _ in range(accepting_sets):
         for _ in range(_RETRY_BOUND):
             subset = frozenset(q for q in range(states) if rng.random() < 0.5)
             if not subset or subset in table:
                 continue
-            if is_loopable(structure, subset):
+            mask = sum(1 << q for q in subset)
+            if _loopable_scc(*graph, min(subset), mask) == mask:
                 table.append(subset)
                 break
         else:
@@ -133,8 +135,9 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
 
     Each step draws one lasso and splits every block of states that no
     earlier lasso told apart by their verdicts on it.  Only blocks of two or
-    more states are kept, and each state reached after the spoke is
-    simulated once per lasso.
+    more states are kept, and the states reached after the spoke share one
+    LoopVerdicts, so each boundary state reads the cycle at most once per
+    lasso.
 
     Equivalent states are never split, so if the exact partition is not
     discrete the answer is already False.  It is consulted once, after the
@@ -153,7 +156,7 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
         if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
             return False
         spoke, cycle = _draw_lasso(rng, n, k)
-        verdicts: dict[int, bool] = {}
+        verdicts = LoopVerdicts(acceptor, cycle)
         split = []
         for block in live:
             accepted, rejected = [], []
@@ -161,10 +164,7 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
                 p = q
                 for i in spoke:
                     p = delta[p][i]
-                verdict = verdicts.get(p)
-                if verdict is None:
-                    verdict = verdicts[p] = loop_verdict(acceptor, p, cycle)
-                (accepted if verdict else rejected).append(q)
+                (accepted if verdicts[p] else rejected).append(q)
             if len(accepted) > 1:
                 split.append(accepted)
             if len(rejected) > 1:

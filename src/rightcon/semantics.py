@@ -11,78 +11,99 @@ from .model import (
 )
 
 
-def _period(structure: TransitionStructure, q: int, cycle) -> tuple[int, list[int]]:
-    """Repeat the cycle from q until the boundary state repeats.
+def _walk(delta, q: int, cycle, known) -> tuple[list[int], int | None]:
+    """Read the cycle from q, then again from where it ends, and so on,
+    until the boundary state is in `known` or repeats.
 
-    cycle is a sequence of symbol indices.  The state at the cycle boundary
-    must repeat within state_count+1 repetitions.  Returns the number of
-    repetitions before the periodic part and the states of that part, from
-    its first boundary state to the same state again.
+    cycle is a sequence of symbol indices.  Returns the states read, from q
+    to the state where the walk stopped, and the number of readings before
+    the repeated state, or None when the walk stopped at a known state.  A
+    state repeats within state_count readings.
     """
-    delta = structure.delta
-    boundary_seen = {q: 0}
     path = [q]
-    for rep in range(1, structure.state_count + 2):
+    seen: dict[int, int] = {}
+    while q not in known:
+        entry = seen.get(q)
+        if entry is not None:
+            return path, entry
+        seen[q] = len(seen)
         for i in cycle:
             q = delta[q][i]
             path.append(q)
-        entry = boundary_seen.get(q)
-        if entry is not None:
-            return entry, path[entry * len(cycle):]
-        boundary_seen[q] = rep
-    raise AssertionError("cycle boundary state failed to repeat")
+    return path, None
 
 
-def _after(structure: TransitionStructure, q: int, spoke) -> int:
-    """The state that reading spoke, a sequence of symbol indices, leads to."""
-    delta = structure.delta
-    for i in spoke:
-        q = delta[q][i]
-    return q
-
-
-def _transitions(structure: TransitionStructure, cycle, path: list[int]):
-    """The transitions of a path from _period, read off the cycle's symbols."""
-    symbols = structure.alphabet.symbols
+def _infinity_sets(
+    structure: TransitionStructure, cycle, path: list[int], entry: int, transitions: bool
+):
+    """States and, if asked for, transitions of the periodic part of a walk
+    that repeated after `entry` readings."""
     m = len(cycle)
-    return frozenset(
-        (path[k], symbols[cycle[k % m]], path[k + 1]) for k in range(len(path) - 1)
+    periodic = path[entry * m:]
+    states = frozenset(periodic)
+    if not transitions:
+        return states, frozenset()
+    symbols = structure.alphabet.symbols
+    return states, frozenset(
+        (periodic[k], symbols[cycle[k % m]], periodic[k + 1]) for k in range(len(periodic) - 1)
     )
 
 
-def _indices(structure: TransitionStructure, w: LassoWord):
+def _loop_verdict(acceptor: Acceptor, cycle, path: list[int], entry: int) -> bool:
+    """Membership of the run whose walk repeated after `entry` readings."""
+    acc = acceptor.acceptance
+    return acc.accepts_loop(
+        *_infinity_sets(acceptor.structure, cycle, path, entry, isinstance(acc, MullerTransitions))
+    )
+
+
+def _lasso_walk(structure: TransitionStructure, w: LassoWord, from_state: int | None):
+    """The cycle of w as symbol indices, and the walk of its run from
+    from_state, or the initial state, once the spoke is read."""
     index = structure.alphabet.index
-    return tuple(map(index, w.spoke)), tuple(map(index, w.cycle))
+    delta = structure.delta
+    q = structure.initial if from_state is None else from_state
+    for symbol in w.spoke:
+        q = delta[q][index(symbol)]
+    cycle = tuple(map(index, w.cycle))
+    return (cycle, *_walk(delta, q, cycle, ()))
+
+
+class LoopVerdicts(dict):
+    """Membership of cycle^omega from each state, for one cycle given as
+    symbol indices; a state's entry is computed when it is first looked up.
+
+    The run from q passes the boundary states q, f(q), f(f(q)), ..., where f
+    reads the cycle once, and its infinity sets are the union of the paths
+    read from the boundary states that repeat.  Every boundary state of one
+    walk reaches the same repetition, so the walk settles them all, and a
+    later walk stops at the first settled state.  Entries hold for this
+    cycle only.
+    """
+
+    def __init__(self, acceptor: Acceptor, cycle):
+        self.acceptor = acceptor
+        self.cycle = cycle
+
+    def __missing__(self, q: int) -> bool:
+        cycle = self.cycle
+        path, entry = _walk(self.acceptor.structure.delta, q, cycle, self)
+        if entry is None:
+            verdict = self[path[-1]]
+        else:
+            verdict = _loop_verdict(self.acceptor, cycle, path, entry)
+        for b in path[:: len(cycle)]:
+            self[b] = verdict
+        return verdict
 
 
 def lasso_run(
     structure: TransitionStructure, w: LassoWord, from_state: int | None = None
 ) -> RunAnalysis:
     """Infinity sets of the run on w; they are collected over the periodic part."""
-    start = structure.initial if from_state is None else from_state
-    spoke, cycle = _indices(structure, w)
-    entry, path = _period(structure, _after(structure, start, spoke), cycle)
-    return RunAnalysis(frozenset(path), _transitions(structure, cycle, path), entry)
-
-
-def loop_verdict(acceptor: Acceptor, q: int, cycle) -> bool:
-    """Membership of cycle^omega, given as symbol indices, from state q."""
-    structure = acceptor.structure
-    acc = acceptor.acceptance
-    _, path = _period(structure, q, cycle)
-    if isinstance(acc, MullerTransitions):
-        trans = _transitions(structure, cycle, path)
-    else:
-        trans = frozenset()
-    return acc.accepts_loop(frozenset(path), trans)
-
-
-def accepts_indices(acceptor: Acceptor, q: int, spoke, cycle) -> bool:
-    """Membership of spoke.cycle^omega, given as symbol indices, from state q."""
-    return loop_verdict(acceptor, _after(acceptor.structure, q, spoke), cycle)
+    cycle, path, entry = _lasso_walk(structure, w, from_state)
+    return RunAnalysis(*_infinity_sets(structure, cycle, path, entry, True), entry)
 
 
 def accepts(acceptor: Acceptor, w: LassoWord, from_state: int | None = None) -> bool:
-    structure = acceptor.structure
-    start = structure.initial if from_state is None else from_state
-    return accepts_indices(acceptor, start, *_indices(structure, w))
+    return _loop_verdict(acceptor, *_lasso_walk(acceptor.structure, w, from_state))

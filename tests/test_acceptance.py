@@ -184,6 +184,14 @@ def test_criterion_5_experiment_reproduction():
                 f"size {s_row.size}: sampled {s_row.isomorphic} "
                 f"> exact {e_row.isomorphic}"
             )
+    # the seeded counts themselves, so that a speed-up that moves one fails
+    for report, expected in (
+        (exact, (83, 92, 88, 95, 95, 94)),
+        (sampled, (83, 92, 88, 94, 94, 90)),
+    ):
+        counts = tuple(row.isomorphic for row in report.rows)
+        if counts != expected:
+            problems.append(f"{report.mode} counts {counts} != {expected}")
     elapsed = time.monotonic() - t0
     if elapsed >= 300:
         problems.append(f"runtime {elapsed:.1f}s >= 300s")

@@ -2,10 +2,24 @@
 
 import random
 
-from rightcon import Alphabet, accepts, lasso_run
+from rightcon import (
+    Alphabet,
+    Buchi,
+    CoBuchi,
+    LassoWord,
+    MullerStates,
+    MullerTransitions,
+    Parity,
+    TransitionStructure,
+    accepts,
+    lasso_run,
+    validate,
+)
 from rightcon.graph import bfs_order, bfs_path, sccs
+from rightcon.semantics import LoopVerdicts
 
 from helpers import (
+    AB,
     ACCEPTANCE_KINDS,
     naive_accepts,
     naive_infinity_sets,
@@ -121,3 +135,49 @@ def test_lasso_kernel_matches_naive_simulator():
                 a.structure, w, q
             )
             assert accepts(a, w, q) == naive_accepts(a, w, q)
+
+
+def test_loop_verdicts_match_naive_simulator_from_every_state():
+    # one LoopVerdicts per cycle answers for every state, looked up in a
+    # random order, so later walks stop at states that earlier ones settled;
+    # the same acceptor is asked again under each new cycle
+    rng = random.Random("graph/loop-verdicts")
+    abc = Alphabet(("a", "b", "c"))
+    for i in range(150):
+        kind = ACCEPTANCE_KINDS[i % len(ACCEPTANCE_KINDS)]
+        a = random_acceptor(rng, 7, abc if i % 2 else AB, (kind,))
+        n = a.structure.state_count
+        states = list(range(n))
+        for length in range(1, 2 * n + 1):
+            cycle = tuple(rng.choice(a.alphabet.symbols) for _ in range(length))
+            verdicts = LoopVerdicts(a, tuple(map(a.alphabet.index, cycle)))
+            rng.shuffle(states)
+            for q in states:
+                assert verdicts[q] == naive_accepts(a, LassoWord((), cycle), q), (i, cycle, q)
+
+
+def test_loop_verdicts_union_every_pass_of_the_period():
+    # on a ring of n states, where a steps on and b stays, the cycle a^m
+    # from any state comes back after n / gcd(n, m) passes, and only the
+    # union of all those passes visits the whole ring; each acceptance below
+    # gives the whole ring a verdict that some shorter stretch of it does not
+    for n in range(2, 8):
+        structure = TransitionStructure(AB, n, 0, tuple(((q + 1) % n, q) for q in range(n)))
+        ring = frozenset((q, "a", (q + 1) % n) for q in range(n))
+        for acc in (
+            Buchi(frozenset([n - 1])),
+            CoBuchi(frozenset([n - 1])),
+            Parity(tuple(range(1, n + 1))),
+            MullerStates(frozenset([frozenset(range(n))])),
+            MullerTransitions(frozenset([ring])),
+        ):
+            a = validate(structure, acc)
+            for m in range(1, 2 * n + 1):
+                for cycle in ("a" * m, "a" * (m - 1) + "b"):
+                    w = LassoWord((), tuple(cycle))
+                    verdicts = LoopVerdicts(a, tuple(map(AB.index, cycle)))
+                    for q in range(n):
+                        assert verdicts[q] == naive_accepts(a, w, q), (n, acc.kind, cycle, q)
+                        run = lasso_run(structure, w, q)
+                        naive = naive_infinity_sets(structure, w, q)
+                        assert (run.inf_states, run.inf_transitions) == naive, (n, cycle, q)
