@@ -277,8 +277,6 @@ def alternation_measure(
                 if cand > up[i]:
                     up[i] = cand
                     best_succ[i] = j
-    if not ents:
-        return AlternationMeasure(0, "+-", ())
     best = max(up)
     starts = [i for i in range(len(ents)) if up[i] == best]
 

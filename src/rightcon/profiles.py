@@ -9,7 +9,7 @@ from .errors import CapacityExceeded
 from .graph import bfs_order
 from .model import Acceptor, LassoWord, Transition
 from .parity import ParityView, find_discrepancy
-from .semantics import accepts
+from .semantics import LoopVerdicts, _walk, accepts
 
 MONOID_CAPACITY = 200000
 
@@ -23,9 +23,6 @@ class Profile:
     visited_states: tuple[frozenset[int], ...]
     visited_transitions: tuple[frozenset[Transition], ...]
     representative: tuple[str, ...]
-
-    def target(self, p: int) -> int:
-        return self.targets[p]
 
 
 def identity_profile(state_count: int) -> Profile:
@@ -80,10 +77,10 @@ class ProfileMonoid:
     `loop_key` of that source's visited states and transitions: the part
     of the visited sets that acceptance can observe (a hit bit for Büchi
     and co-Büchi, the minimum colour for parity, the set itself or TOP for
-    Muller).  The key is a congruence for `compose`, and `omega_accept`
-    depends on nothing else, so words with equal keys are merged; the
-    breadth-first search keeps the shortlex-least word of each as its
-    representative.
+    Muller).  The key is a congruence for `compose`, and the ω-verdicts of
+    a word's products depend on nothing else, so words with equal keys are
+    merged; the breadth-first search keeps the shortlex-least word of each
+    as its representative.
 
     `right` is the monoid's multiplication: as the key is a congruence,
     elements[i] times elements[j] is `right` walked from i along the
@@ -133,75 +130,56 @@ def profile_monoid(acceptor: Acceptor, capacity: int = MONOID_CAPACITY) -> Profi
 
 
 def omega_accept(acceptor: Acceptor, s: Profile, t: Profile, from_state: int) -> bool:
-    """Acceptance of rep(s) . rep(t)^omega started at from_state."""
-    q0 = s.targets[from_state]
-    seen = {q0: 0}
-    seq = [q0]
-    cur = q0
-    while True:
-        cur = t.targets[cur]
-        if cur in seen:
-            entry = seen[cur]
-            break
-        seen[cur] = len(seq)
-        seq.append(cur)
-    states: set[int] = set()
-    trans: set[Transition] = set()
-    for p in seq[entry:]:
-        states |= t.visited_states[p]
-        trans |= t.visited_transitions[p]
-    return acceptor.acceptance.accepts_loop(frozenset(states), frozenset(trans))
+    """Acceptance of rep(s) . rep(t)^omega started at from_state, read off
+    the lasso simulator."""
+    return accepts(acceptor, LassoWord(s.representative, t.representative), from_state)
 
 
-def _orbit_stabilizes(start: int, step_map, bound: int) -> bool:
-    """Does iterating step_map from start reach a fixed point?"""
-    seen = {start: 0}
-    cur = start
-    for _ in range(bound + 1):
-        nxt = step_map(cur)
-        if nxt == cur:
-            return True
-        if nxt in seen:
-            return False
-        seen[nxt] = len(seen)
-        cur = nxt
-    return False
+def _cycle(monoid: ProfileMonoid, e: Profile) -> tuple[int, ...]:
+    """The representative of e as symbol indices."""
+    return tuple(map(monoid.acceptor.alphabet.index, e.representative))
+
+
+def _stabilizes(delta, start: int, cycle) -> bool:
+    """Does the run from start on cycle^omega reach a state that one reading
+    of cycle maps to itself, so that its walk repeats after one reading?"""
+    path, entry = _walk(delta, start, cycle, ())
+    return len(path) == (entry + 1) * len(cycle) + 1
 
 
 def is_respective(acceptor: Acceptor):
     """Whenever some x.u^omega is accepted, must the congruence orbit of
-    x under u stabilize?  Returns (verdict, witness words or None)."""
+    x under u stabilize?  Returns (verdict, witness words or None).
+
+    Each element's cycle verdicts from the reachable states come from one
+    LoopVerdicts over its representative u, and the orbit of [x] is the
+    quotient's run on u^omega."""
     quotient = rightcon_quotient(acceptor)
     proj = quotient.projection
+    qdelta = quotient.structure.delta
     monoid = profile_monoid(acceptor)
     structure = acceptor.structure
     reachable = sorted(proj)
-    member = {c: min(states) for c, states in enumerate(quotient.classes)}
     for e in monoid.elements:
-        qmap = {c: proj[e.targets[member[c]]] for c in member}
+        u = _cycle(monoid, e)
+        verdicts = LoopVerdicts(acceptor, u)
         for q in reachable:
-            if omega_accept(acceptor, monoid.identity, e, q):
-                if not _orbit_stabilizes(proj[q], qmap.__getitem__, len(member)):
-                    x = shortest_word_to(structure, structure.initial, q)
-                    return False, (x, e.representative)
+            if verdicts[q] and not _stabilizes(qdelta, proj[q], u):
+                x = shortest_word_to(structure, structure.initial, q)
+                return False, (x, e.representative)
     return True, None
 
 
 def respective_pair_check(acceptor: Acceptor, x, u) -> bool:
     """Single-instance check: if x.u^omega is accepted, does the orbit of
     [x] under u reach a fixed point?"""
-    x = tuple(x)
-    u = tuple(u)
+    x, u = tuple(x), tuple(u)
     if not accepts(acceptor, LassoWord(x, u)):
         return True
     quotient = rightcon_quotient(acceptor)
-    start = quotient.projection[acceptor.structure.run(acceptor.structure.initial, x)]
-    qs = quotient.structure
-
-    def step(c):
-        return qs.run(c, u)
-
-    return _orbit_stabilizes(start, step, qs.state_count)
+    structure = acceptor.structure
+    start = quotient.projection[structure.run(structure.initial, x)]
+    return _stabilizes(quotient.structure.delta, start, tuple(map(structure.alphabet.index, u)))
 
 
 def _times(monoid: ProfileMonoid, i: int, word) -> int:
@@ -225,12 +203,6 @@ def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
     els = monoid.elements
     n_el = len(els)
 
-    # acceptance of p . e^omega for every reachable p and element e
-    acc1 = [
-        tuple(omega_accept(acceptor, monoid.identity, e, p) for e in els)
-        for p in reachable
-    ]
-
     # generator multiplication tables over elements
     right = monoid.right
     gens = [monoid.element_index(g) for g in monoid.generators]
@@ -239,7 +211,9 @@ def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
     def base_color(i):
         e = els[i]
         lin = tuple(proj[e.targets[p]] for p in reachable)
-        cyc = tuple(row[i] for row in acc1)
+        # acceptance of p . e^omega for every reachable p
+        verdicts = LoopVerdicts(acceptor, _cycle(monoid, e))
+        cyc = tuple(verdicts[p] for p in reachable)
         return (lin, cyc)
 
     colors: dict = {}
@@ -280,23 +254,13 @@ def is_non_counting(acceptor: Acceptor):
     monoid = profile_monoid(acceptor)
     cls = _syntactic_classes(monoid, proj)
     els = monoid.elements
-    n_cls = len(set(cls))
-
-    def el_mult(i, j):
-        return _times(monoid, i, els[j].representative)
 
     def cls_power_periodic(i):
-        # follow element powers, compare class projections
-        powers = [i]
-        cur = i
-        for _ in range(n_cls + 1):
-            cur = el_mult(cur, i)
-            if cls[cur] == cls[powers[-1]]:
-                return False
-            powers.append(cur)
-            if any(cls[old] == cls[cur] for old in powers[:-1]):
-                return True
-        return False
+        # the powers of element i are the right table's run on its
+        # representative; it counts when their cycle spans several classes
+        u = _cycle(monoid, els[i])
+        path, entry = _walk(monoid.right, i, u, ())
+        return len({cls[j] for j in path[entry * len(u)::len(u)]}) > 1
 
     by_word = sorted(range(len(els)), key=lambda i: (len(els[i].representative), els[i].representative))
     v_idx = next((i for i in by_word if cls_power_periodic(i)), None)
@@ -309,20 +273,19 @@ def _counting_witness(acceptor: Acceptor, v, proj: dict):
     """(u, v, w, n) with u.v^n.w and u.v^{n+1}.w of different membership,
     or None if no such witness exists for this v.
 
-    For each reachable state q in breadth-first order and n = 1..|Q|+1,
-    the first pair q.v^n, q.v^{n+1} in different classes of the quotient
-    projection `proj` is the witness; the sequence q.v^n is periodic within
-    |Q| + 1 steps, so no larger n can give a new pair.  Only that pair is
-    searched for the distinguishing lasso w.
+    The witness comes from the first reachable state q, in breadth-first
+    order, whose q.v and q.v.v lie in different classes of the quotient
+    projection `proj`, and its n is 1.  A larger n cannot help: the classes
+    form a right congruence, so once q.v^n and q.v^{n+1} share a class, all
+    later powers do too.  Only that pair is searched for the distinguishing
+    lasso w.
     """
     structure = acceptor.structure
     for q in bfs_order(structure.initial, structure.delta.__getitem__):
         p = structure.run(q, v)
-        for n in range(1, structure.state_count + 2):
-            p_next = structure.run(p, v)
-            if proj[p] != proj[p_next]:
-                view = ParityView(acceptor)
-                u = shortest_word_to(structure, structure.initial, q)
-                return u, v, find_discrepancy(view, view, p, p_next), n
-            p = p_next
+        p_next = structure.run(p, v)
+        if proj[p] != proj[p_next]:
+            view = ParityView(acceptor)
+            u = shortest_word_to(structure, structure.initial, q)
+            return u, v, find_discrepancy(view, view, p, p_next), 1
     return None

@@ -49,24 +49,15 @@ def _infinity_sets(
     )
 
 
-def _loop_verdict(acceptor: Acceptor, cycle, path: list[int], entry: int) -> bool:
-    """Membership of the run whose walk repeated after `entry` readings."""
-    acc = acceptor.acceptance
-    return acc.accepts_loop(
-        *_infinity_sets(acceptor.structure, cycle, path, entry, isinstance(acc, MullerTransitions))
-    )
-
-
-def _lasso_walk(structure: TransitionStructure, w: LassoWord, from_state: int | None):
-    """The cycle of w as symbol indices, and the walk of its run from
-    from_state, or the initial state, once the spoke is read."""
+def _after_spoke(structure: TransitionStructure, w: LassoWord, from_state: int | None):
+    """The state reached by reading the spoke of w from from_state, or the
+    initial state, and the cycle of w as symbol indices."""
     index = structure.alphabet.index
     delta = structure.delta
     q = structure.initial if from_state is None else from_state
     for symbol in w.spoke:
         q = delta[q][index(symbol)]
-    cycle = tuple(map(index, w.cycle))
-    return (cycle, *_walk(delta, q, cycle, ()))
+    return q, tuple(map(index, w.cycle))
 
 
 class LoopVerdicts(dict):
@@ -91,7 +82,11 @@ class LoopVerdicts(dict):
         if entry is None:
             verdict = self[path[-1]]
         else:
-            verdict = _loop_verdict(self.acceptor, cycle, path, entry)
+            acc = self.acceptor.acceptance
+            sets = _infinity_sets(
+                self.acceptor.structure, cycle, path, entry, isinstance(acc, MullerTransitions)
+            )
+            verdict = acc.accepts_loop(*sets)
         for b in path[:: len(cycle)]:
             self[b] = verdict
         return verdict
@@ -101,9 +96,11 @@ def lasso_run(
     structure: TransitionStructure, w: LassoWord, from_state: int | None = None
 ) -> RunAnalysis:
     """Infinity sets of the run on w; they are collected over the periodic part."""
-    cycle, path, entry = _lasso_walk(structure, w, from_state)
+    q, cycle = _after_spoke(structure, w, from_state)
+    path, entry = _walk(structure.delta, q, cycle, ())
     return RunAnalysis(*_infinity_sets(structure, cycle, path, entry, True), entry)
 
 
 def accepts(acceptor: Acceptor, w: LassoWord, from_state: int | None = None) -> bool:
-    return _loop_verdict(acceptor, *_lasso_walk(acceptor.structure, w, from_state))
+    q, cycle = _after_spoke(acceptor.structure, w, from_state)
+    return LoopVerdicts(acceptor, cycle)[q]

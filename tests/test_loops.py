@@ -20,7 +20,7 @@ from rightcon import (
 )
 from rightcon.errors import CapacityExceeded, NotWeak
 from rightcon.loops import is_loopable, loopable_state_sets, loopable_transition_sets
-from rightcon.model import Alphabet
+from rightcon.model import Alphabet, make_structure, muller, validate
 from rightcon.ops import combine
 
 from helpers import (
@@ -205,6 +205,17 @@ class TestAlternationMeasure:
         for name, (alt, pol) in expected.items():
             m = alternation_measure(fixture(name))
             assert (m.max_alternations, m.polarity) == (alt, pol), name
+
+    def test_both_polarities_in_unrelated_sccs(self):
+        # 0 leads to an accepting self-loop sink 1 and a rejecting one 2;
+        # neither maximal SCC reaches the other, so both verdicts count
+        structure = make_structure(
+            Alphabet(("a", "b")), 3, 0,
+            {(0, "a"): 1, (0, "b"): 2, (1, "a"): 1, (1, "b"): 1, (2, "a"): 2, (2, "b"): 2},
+        )
+        m = alternation_measure(validate(structure, muller([1])))
+        assert (m.max_alternations, m.polarity) == (0, "+-")
+        assert [e.accepting for e in m.witness_chain] == [True]
 
     def test_witness_chain_alternates(self):
         for name in ("fig3_M", "fig2_P", "fig2_M"):

@@ -12,7 +12,7 @@ from rightcon import (
     print_oaf,
 )
 from rightcon.cli import main
-from rightcon.errors import ParseError, UnknownSymbol, ValidationError
+from rightcon.errors import CapacityExceeded, ParseError, UnknownSymbol, ValidationError
 from rightcon.model import alphabet
 
 AB = alphabet("a", "b")
@@ -124,6 +124,32 @@ class TestOafErrors:
     def test_missing_sections(self):
         self.check("oaf 1\ntype buchi\n")
 
+    HEAD = "oaf 1\ntype buchi\nalphabet a\nstates 1\ninitial 0\n"
+
+    @pytest.mark.parametrize(
+        "text, line_no, reason",
+        [
+            ("oaf 1\nalphabet\n", 2, "alphabet needs"),
+            ("oaf 1\nstates x\n", 2, "states needs"),
+            ("oaf 1\ninitial\n", 2, "initial needs"),
+            (HEAD + "trans 0 a\n", 6, "trans needs"),
+            (HEAD + "acc\n", 6, "empty acc"),
+            (HEAD + "acc color 0\n", 6, "acc color needs"),
+            (HEAD + "acc set\n", 6, "acc set needs"),
+            (HEAD + "acc tset 0 a\n", 6, "acc tset needs"),
+            (HEAD + "acc tset 0 a 0 ; 0 z 0\n", 6, "unknown symbol 'z'"),
+            (HEAD + "acc foo\n", 6, "unknown acc form"),
+            (HEAD + "complete\n", 6, "complete sink"),
+            ("oaf 1\nalphabet a\nstates 1\ninitial 0\n", 0, "missing 'type'"),
+            ("oaf 1\ntype buchi\nalphabet a\ninitial 0\n", 0, "missing 'states'"),
+            ("oaf 1\ntype buchi\nalphabet a\nstates 1\n", 0, "missing 'initial'"),
+        ],
+    )
+    def test_malformed_directive(self, text, line_no, reason):
+        with pytest.raises(ParseError) as e:
+            parse_oaf(text)
+        assert e.value.line_no == line_no and reason in e.value.reason
+
 
 class TestCli:
     @pytest.fixture()
@@ -157,6 +183,44 @@ class TestCli:
         assert lines["IB"] == "false" and lines["IC"] == "false"
         assert lines["respective"] == "false"
         assert "cert_IM" in lines and "cert_IP" in lines
+
+    def test_classify_buchi_and_cobuchi_certificates(self, capsys, tmp_path):
+        # aab is both IB and IC: each certificate, put on the written
+        # quotient, recognizes the input's language
+        p = tmp_path / "aab.oaf"
+        p.write_text(print_oaf(fixture("aab")))
+        code, out = self.run(capsys, "classify", str(p))
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.out.splitlines() if "=" in line)
+        assert lines["IB"] == "true" and lines["IC"] == "true"
+        assert lines["cert_IB"] == "buchi 2"
+        assert lines["cert_IC"] == "cobuchi 0 1 3"
+        q_path = tmp_path / "q.oaf"
+        code, _ = self.run(capsys, "quotient", str(p), "-o", str(q_path))
+        assert code == 0
+        quotient = [
+            line for line in q_path.read_text().splitlines()
+            if not line.startswith(("type", "acc"))
+        ]
+        for flag in ("IB", "IC"):
+            kind, *states = lines[f"cert_{flag}"].split()
+            c_path = tmp_path / f"{flag}.oaf"
+            c_path.write_text(
+                "\n".join(quotient + [f"type {kind}", "acc states " + " ".join(states)]) + "\n"
+            )
+            code, out = self.run(capsys, "equiv", str(p), str(c_path))
+            assert code == 0 and "equivalent=true" in out.out, flag
+
+    def test_capacity_exceeded_exit_4(self, capsys, monkeypatch, fig3_path):
+        import rightcon.cli
+
+        def exceed(acceptor):
+            raise CapacityExceeded("profile monoid", 1)
+
+        monkeypatch.setattr(rightcon.cli, "is_respective", exceed)
+        code, out = self.run(capsys, "classify", fig3_path)
+        assert code == 4
+        assert out.err.startswith("error:") and "profile monoid" in out.err
 
     def test_classify_conflict_witness(self, capsys, tmp_path):
         p = tmp_path / "fgaxa.oaf"
