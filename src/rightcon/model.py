@@ -163,10 +163,13 @@ class Acceptance:
         raise NotImplementedError
 
     def loop_key(self, states: frozenset[int], transitions: frozenset[Transition]):
-        """What accepts_loop can observe of a set of visited states and
-        transitions.  accepts_loop depends on the sets only through the key,
-        and the key of a union is determined by the keys of its parts.
-        """
+        """What accepts_loop can observe of nonempty visited sets: a hit bit
+        for Büchi and co-Büchi, the minimum colour for parity, the set itself
+        or TOP for Muller.  accepts_loop depends on the sets only through it."""
+        raise NotImplementedError
+
+    def join(self, a, b):
+        """The loop key of A ∪ B, given a = loop_key(A) and b = loop_key(B)."""
         raise NotImplementedError
 
     def referenced_states(self) -> set[int]:
@@ -187,6 +190,9 @@ class Buchi(Acceptance):
     def loop_key(self, states, transitions):
         return bool(states & self.accepting)
 
+    def join(self, a, b):
+        return a or b
+
     def referenced_states(self):
         return set(self.accepting)
 
@@ -201,6 +207,9 @@ class CoBuchi(Acceptance):
 
     def loop_key(self, states, transitions):
         return bool(states & self.avoided)
+
+    def join(self, a, b):
+        return a or b
 
     def referenced_states(self):
         return set(self.avoided)
@@ -217,14 +226,27 @@ class Parity(Acceptance):
         return min(self.colors[q] for q in states) % 2 == 1
 
     def loop_key(self, states, transitions):
-        return min((self.colors[q] for q in states), default=None)
+        return min(self.colors[q] for q in states)
+
+    def join(self, a, b):
+        return min(a, b)
 
     def referenced_states(self):
         return set(range(len(self.colors)))
 
 
+class _Muller(Acceptance):
+    """A table of accepted sets; a set inside no entry is keyed TOP."""
+
+    def _key(self, visited):
+        return visited if any(visited <= e for e in self.table) else TOP
+
+    def join(self, a, b):
+        return TOP if a is TOP or b is TOP else self._key(a | b)
+
+
 @dataclass(frozen=True)
-class MullerStates(Acceptance):
+class MullerStates(_Muller):
     table: frozenset[frozenset[int]]
     kind = "muller"
 
@@ -232,7 +254,7 @@ class MullerStates(Acceptance):
         return states in self.table
 
     def loop_key(self, states, transitions):
-        return states if any(states <= e for e in self.table) else TOP
+        return self._key(states)
 
     def referenced_states(self):
         out = set()
@@ -242,7 +264,7 @@ class MullerStates(Acceptance):
 
 
 @dataclass(frozen=True)
-class MullerTransitions(Acceptance):
+class MullerTransitions(_Muller):
     table: frozenset[frozenset[Transition]]
     kind = "tmuller"
 
@@ -250,7 +272,7 @@ class MullerTransitions(Acceptance):
         return transitions in self.table
 
     def loop_key(self, states, transitions):
-        return transitions if any(transitions <= e for e in self.table) else TOP
+        return self._key(transitions)
 
     def referenced_states(self):
         out = set()

@@ -66,14 +66,14 @@ def parse_oaf(text: str) -> Acceptor:
     def fail(no, reason):
         raise ParseError(no, reason)
 
-    def integer(no, tok, what):
+    def integer(no, tok, reason):
         try:
             return int(tok)
         except ValueError:
-            fail(no, f"expected {what}, got {tok!r}")
+            fail(no, f"{reason}, got {tok!r}")
 
     def state(no, tok):
-        q = integer(no, tok, "a state id")
+        q = integer(no, tok, "expected a state id")
         if state_count is not None and not (0 <= q < state_count):
             fail(no, f"state {q} out of range")
         return q
@@ -97,9 +97,9 @@ def parse_oaf(text: str) -> Acceptor:
                 fail(no, "alphabet needs at least one symbol")
             alphabet = Alphabet(tuple(toks[1:]))
         elif head == "states":
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
-                fail(no, "states needs one positive integer")
-            state_count = int(toks[1])
+            reason = "states needs one positive integer"
+            if len(toks) != 2 or (state_count := integer(no, toks[1], reason)) < 1:
+                fail(no, reason)
         elif head == "initial":
             if len(toks) != 2:
                 fail(no, "initial needs one state id")
@@ -119,7 +119,7 @@ def parse_oaf(text: str) -> Acceptor:
             elif sub == "color":
                 if len(toks) != 4:
                     fail(no, "acc color needs: state color")
-                acc_colors[state(no, toks[2])] = integer(no, toks[3], "a color")
+                acc_colors[state(no, toks[2])] = integer(no, toks[3], "expected a color")
             elif sub == "set":
                 if len(toks) < 3:
                     fail(no, "acc set needs at least one state")

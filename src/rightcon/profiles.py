@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .congruence import rightcon_quotient, shortest_word_to
 from .errors import CapacityExceeded
 from .graph import bfs_order
-from .model import Acceptor, LassoWord, Transition
+from .model import Acceptor, LassoWord
 from .parity import ParityView, find_discrepancy
 from .semantics import LoopVerdicts, _walk, accepts
 
@@ -16,91 +16,52 @@ MONOID_CAPACITY = 200000
 
 @dataclass(frozen=True)
 class Profile:
-    """Behavior summary of a finite word: per source state, the target and
-    the states/transitions entered along the way."""
+    """Behavior summary of a nonempty finite word: per source state, the
+    target and the loop key of the states and transitions entered."""
 
     targets: tuple[int, ...]
-    visited_states: tuple[frozenset[int], ...]
-    visited_transitions: tuple[frozenset[Transition], ...]
+    keys: tuple
     representative: tuple[str, ...]
 
 
-def identity_profile(state_count: int) -> Profile:
-    return Profile(
-        tuple(range(state_count)),
-        tuple(frozenset() for _ in range(state_count)),
-        tuple(frozenset() for _ in range(state_count)),
-        (),
-    )
-
-
-def letter_profile(structure, symbol: str) -> Profile:
-    i = structure.alphabet.index(symbol)
-    targets = tuple(structure.delta[q][i] for q in range(structure.state_count))
-    return Profile(
-        targets,
-        tuple(frozenset([t]) for t in targets),
-        tuple(
-            frozenset([(q, symbol, targets[q])])
-            for q in range(structure.state_count)
-        ),
-        (symbol,),
-    )
-
-
-def compose(e: Profile, f: Profile) -> Profile:
-    n = len(e.targets)
-    return Profile(
-        tuple(f.targets[e.targets[p]] for p in range(n)),
-        tuple(
-            e.visited_states[p] | f.visited_states[e.targets[p]] for p in range(n)
-        ),
-        tuple(
-            e.visited_transitions[p] | f.visited_transitions[e.targets[p]]
-            for p in range(n)
-        ),
-        e.representative + f.representative,
-    )
-
-
-def profile_of_word(structure, word) -> Profile:
-    out = identity_profile(structure.state_count)
-    for sym in word:
-        out = compose(out, letter_profile(structure, sym))
-    return out
-
-
 class ProfileMonoid:
-    """Profiles of all nonempty words, closed under composition.
+    """Profiles of all nonempty words, built letter by letter.
 
-    Elements are keyed on each source's target and the acceptance's
-    `loop_key` of that source's visited states and transitions: the part
-    of the visited sets that acceptance can observe (a hit bit for Büchi
-    and co-Büchi, the minimum colour for parity, the set itself or TOP for
-    Muller).  The key is a congruence for `compose`, and the ω-verdicts of
-    a word's products depend on nothing else, so words with equal keys are
-    merged; the breadth-first search keeps the shortlex-least word of each
-    as its representative.
+    A profile keeps, per source state, only the target and the loop key of
+    the visited sets: the ω-verdicts of a word's products read nothing else.
+    The breadth-first closure starts from the letters, keyed on single
+    transitions, and extends each element by each letter g: a source with
+    target t and key k gets target g.targets[t] and key
+    `Acceptance.join(k, g.keys[t])`.  Equal profiles are merged; the
+    shortlex-least word of each is its representative.
 
-    `right` is the monoid's multiplication: as the key is a congruence,
-    elements[i] times elements[j] is `right` walked from i along the
-    representative of j.  Only this closure composes profiles.
+    `right[i][a]` is elements[i] followed by letter a, whose element is
+    `letters[a]`.  Profiles form a congruence, so walking `right` from i
+    along the representative of j multiplies elements[i] by elements[j].
     """
 
     def __init__(self, acceptor: Acceptor, capacity: int = MONOID_CAPACITY):
         self.acceptor = acceptor
-        structure = acceptor.structure
-        self.identity = identity_profile(structure.state_count)
-        self.generators = [
-            letter_profile(structure, sym) for sym in structure.alphabet.symbols
+        acceptance = acceptor.acceptance
+        delta = acceptor.structure.delta
+        letters = [
+            Profile(
+                tuple(row[a] for row in delta),
+                tuple(
+                    acceptance.loop_key(frozenset([row[a]]), frozenset([(q, sym, row[a])]))
+                    for q, row in enumerate(delta)
+                ),
+                (sym,),
+            )
+            for a, sym in enumerate(acceptor.alphabet.symbols)
         ]
+        join = acceptance.join
         self.elements: list[Profile] = []
         self.by_key: dict = {}
-        # right[i][j]: index of elements[i] composed with generators[j]
         self.right: list[list[int]] = []
 
         def index_of(p: Profile) -> int:
-            k = self.key(p)
+            k = p.targets, p.keys
             if k not in self.by_key:
                 if len(self.elements) >= capacity:
                     raise CapacityExceeded("profile monoid", capacity)
@@ -108,21 +69,17 @@ class ProfileMonoid:
                 self.elements.append(p)
             return self.by_key[k]
 
-        for g in self.generators:
-            index_of(g)
+        self.letters = [index_of(g) for g in letters]
         # breadth-first: elements are expanded in the order they are found
         for e in self.elements:
-            self.right.append([index_of(compose(e, g)) for g in self.generators])
-
-    def key(self, p: Profile):
-        loop_key = self.acceptor.acceptance.loop_key
-        return p.targets, tuple(map(loop_key, p.visited_states, p.visited_transitions))
-
-    def element_index(self, p: Profile) -> int:
-        return self.by_key[self.key(p)]
-
-    def canonical(self, p: Profile) -> Profile:
-        return self.elements[self.element_index(p)]
+            self.right.append([
+                index_of(Profile(
+                    tuple(g.targets[t] for t in e.targets),
+                    tuple(join(k, g.keys[t]) for k, t in zip(e.keys, e.targets)),
+                    e.representative + g.representative,
+                ))
+                for g in letters
+            ])
 
 
 def profile_monoid(acceptor: Acceptor, capacity: int = MONOID_CAPACITY) -> ProfileMonoid:
@@ -196,17 +153,16 @@ def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
     Start from a coloring by (linear-context signature, cycle acceptance
     from every reachable state), where the linear context is read through
     the quotient projection `proj`, and refine to a two-sided congruence
-    under the letter generators.
+    under the letters.
     """
     acceptor = monoid.acceptor
     reachable = sorted(proj)
     els = monoid.elements
     n_el = len(els)
 
-    # generator multiplication tables over elements
+    # letter multiplication tables over elements
     right = monoid.right
-    gens = [monoid.element_index(g) for g in monoid.generators]
-    left = [[_times(monoid, g, e.representative) for g in gens] for e in els]
+    left = [[_times(monoid, g, e.representative) for g in monoid.letters] for e in els]
 
     def base_color(i):
         e = els[i]

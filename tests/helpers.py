@@ -186,6 +186,25 @@ def naive_sampled_distinguished(acceptor, samples: int, rng: random.Random) -> b
     return all(len(b) == 1 for b in blocks)
 
 
+def naive_profile(acceptor, word):
+    """(targets, keys) of a nonempty finite word: its run from each state,
+    with the acceptance's loop_key of the states and transitions that run
+    enters, collected by simulation."""
+    structure = acceptor.structure
+    targets, keys = [], []
+    for source in range(structure.state_count):
+        q = source
+        states, trans = set(), set()
+        for sym in word:
+            t = structure.step(q, sym)
+            states.add(t)
+            trans.add((q, sym, t))
+            q = t
+        targets.append(q)
+        keys.append(acceptor.acceptance.loop_key(frozenset(states), frozenset(trans)))
+    return tuple(targets), tuple(keys)
+
+
 # ------------------------------------------------------ naive parity tree
 
 

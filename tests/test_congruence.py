@@ -24,7 +24,8 @@ from rightcon import (
     validate,
 )
 from rightcon.congruence import _parity_certificate, partition_language_equivalent
-from rightcon.errors import NotMuller, NotTrivial
+from rightcon.dfa import Dfa
+from rightcon.errors import CapacityExceeded, NotMuller, NotTrivial
 from rightcon.model import Alphabet, alphabet
 from rightcon.ops import combine
 
@@ -337,6 +338,18 @@ class TestTrivialDecomposition:
                     from rightcon import lasso
 
                     assert accepts(a, lasso(spoke, block)), (name, block)
+
+    def test_word_enumeration_over_budget_raises(self):
+        # 2^20 words lie below the first accepted one: the search runs out
+        # of steps and must say so instead of returning a short list
+        ab = alphabet("a", "b")
+        chain = {(q, s): min(q + 1, 20) for q in range(21) for s in ab.symbols}
+        d = Dfa(ab, 0, chain, frozenset([20]))
+        assert d.accepts("a" * 20)
+        with pytest.raises(CapacityExceeded):
+            d.enumerate_words(3)
+        short = {(q, s): min(q + 1, 5) for q in range(6) for s in ab.symbols}
+        assert len(Dfa(ab, 0, short, frozenset([5])).enumerate_words(3)) == 3
 
     def test_not_trivial(self):
         with pytest.raises(NotTrivial):

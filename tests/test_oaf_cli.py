@@ -131,6 +131,7 @@ class TestOafErrors:
         [
             ("oaf 1\nalphabet\n", 2, "alphabet needs"),
             ("oaf 1\nstates x\n", 2, "states needs"),
+            ("oaf 1\nstates ²\n", 2, "states needs"),
             ("oaf 1\ninitial\n", 2, "initial needs"),
             (HEAD + "trans 0 a\n", 6, "trans needs"),
             (HEAD + "acc\n", 6, "empty acc"),

@@ -18,12 +18,12 @@ from rightcon import (
     respective_pair_check,
 )
 from rightcon.errors import CapacityExceeded
-from rightcon.profiles import compose, identity_profile, profile_of_word
 
 from helpers import (
     ACCEPTANCE_KINDS,
     all_fixtures,
     naive_accepts,
+    naive_profile,
     oracle_respective_bruteforce,
     prefix_pumping_flip,
     random_acceptor,
@@ -43,76 +43,108 @@ EXPECTED_NONCOUNTING = {
 }
 
 
+def element_of(m, word):
+    """Index of the element of a nonempty word, walked along `right` from
+    the element of its first letter."""
+    symbol_index = m.acceptor.alphabet.index
+    i = m.letters[symbol_index(word[0])]
+    for sym in word[1:]:
+        i = m.right[i][symbol_index(sym)]
+    return i
+
+
+def _subset(rng, pool):
+    """A random nonempty subset of pool."""
+    items = sorted(pool)
+    return frozenset(x for x in items if rng.random() < 0.5) or frozenset([rng.choice(items)])
+
+
 class TestProfileAlgebra:
-    def test_identity_laws(self):
-        s = fixture("fig3_M").structure
-        e = identity_profile(s.state_count)
-        for w in ("", "0", "01", "110"):
-            p = profile_of_word(s, w)
-            assert compose(e, p) == p
-            assert compose(p, e) == p
+    def test_letters_are_single_transitions(self):
+        for name in ("fig3_M", "fig6_P", "fig2_T", "fig5_Dbad"):
+            a = fixture(name)
+            m = profile_monoid(a)
+            syms = a.alphabet.symbols
+            assert len(m.letters) == len(syms), name
+            for sym, i in zip(syms, m.letters):
+                assert i == m.by_key[naive_profile(a, (sym,))], (name, sym)
+            # the first elements are the distinct letters, in alphabet order
+            distinct = list(dict.fromkeys(m.letters))
+            assert distinct == list(range(len(distinct))), name
 
     def test_composition_matches_concatenation(self):
+        # walking `right` from x's element along y lands on the element of
+        # x + y, which holds the simulated profile of x + y
         rng = random.Random(3)
         for name in ("fig3_M", "fig6_P", "aab"):
-            s = fixture(name).structure
-            syms = s.alphabet.symbols
+            a = fixture(name)
+            m = profile_monoid(a)
+            syms = a.alphabet.symbols
             for _ in range(50):
-                u = tuple(rng.choice(syms) for _ in range(rng.randint(0, 4)))
-                v = tuple(rng.choice(syms) for _ in range(rng.randint(0, 4)))
-                assert compose(
-                    profile_of_word(s, u), profile_of_word(s, v)
-                ) == profile_of_word(s, u + v)
+                u = tuple(rng.choice(syms) for _ in range(rng.randint(1, 4)))
+                v = tuple(rng.choice(syms) for _ in range(rng.randint(1, 4)))
+                assert element_of(m, u) == m.by_key[naive_profile(a, u)], (name, u)
+                want = m.by_key[naive_profile(a, u + v)]
+                assert element_of(m, u + v) == want, (name, u, v)
+                e = m.elements[element_of(m, v)]
+                assert element_of(m, u + e.representative) == want, (name, u, v)
 
     def test_profile_targets_match_runs(self):
-        s = fixture("fig5_Bbad").structure
-        for w in words_up_to(s.alphabet, 0, 3):
-            p = profile_of_word(s, w)
+        a = fixture("fig5_Bbad")
+        s = a.structure
+        m = profile_monoid(a)
+        for w in words_up_to(s.alphabet, 1, 3):
+            e = m.elements[element_of(m, w)]
             for q in range(s.state_count):
-                assert p.targets[q] == s.run(q, w)
+                assert e.targets[q] == s.run(q, w)
 
 
 class TestProfileMonoid:
     def test_closed_under_composition(self):
         a = fixture("fig3_M")
         m = profile_monoid(a)
-        keys = {m.key(e) for e in m.elements}
-        # the identity (empty word) is tracked separately from the
-        # nonempty-word elements
-        assert m.identity.representative == ()
-        assert m.key(m.identity) not in keys
+        keys = {(e.targets, e.keys) for e in m.elements}
+        assert len(keys) == len(m.elements)
+        # the monoid holds nonempty words only: the empty word has no element
+        assert all(e.representative for e in m.elements)
         for e in m.elements:
             for f in m.elements:
-                assert m.key(m.canonical(compose(e, f))) in keys
+                assert naive_profile(a, e.representative + f.representative) in keys
 
     def test_representatives_generate_elements(self):
-        a = fixture("aab")
-        m = profile_monoid(a)
-        for e in m.elements:
-            assert m.key(profile_of_word(a.structure, e.representative)) == m.key(e)
+        for name in ("aab", "fig3_M", "fig6_P", "fig2_T", "fig5_Dbad"):
+            a = fixture(name)
+            m = profile_monoid(a)
+            for i, e in enumerate(m.elements):
+                assert (e.targets, e.keys) == naive_profile(a, e.representative), (name, i)
+                assert m.by_key[e.targets, e.keys] == i, (name, i)
 
     def test_right_table_composes_with_generators(self):
         for name in ("fig3_M", "aab", "fig5_Dbad"):
-            m = profile_monoid(fixture(name))
+            a = fixture(name)
+            m = profile_monoid(a)
+            syms = a.alphabet.symbols
             assert len(m.right) == len(m.elements), name
             for e, row in zip(m.elements, m.right):
-                assert row == [m.element_index(compose(e, g)) for g in m.generators], name
+                assert row == [
+                    m.by_key[naive_profile(a, e.representative + (sym,))] for sym in syms
+                ], name
             # walking right along f's representative multiplies by f
-            symbol_index = m.acceptor.alphabet.index
             for i, e in enumerate(m.elements):
                 for f in m.elements:
                     j = i
                     for sym in f.representative:
-                        j = m.right[j][symbol_index(sym)]
-                    assert j == m.element_index(compose(e, f)), name
+                        j = m.right[j][a.alphabet.index(sym)]
+                    want = naive_profile(a, e.representative + f.representative)
+                    assert j == m.by_key[want], name
 
     def test_capacity(self):
         with pytest.raises(CapacityExceeded):
             profile_monoid(fixture("fig5_Dbad"), capacity=2)
 
     def test_reduced_key_is_sound(self):
-        # canonical elements stand for their words in loops and products:
-        # a key that merged words behaving differently would fail here
+        # elements stand for their words in loops and products: a key that
+        # merged words behaving differently would fail here
         rng = random.Random("profiles/key")
         for kind in ACCEPTANCE_KINDS:
             for _ in range(8):
@@ -123,12 +155,33 @@ class TestProfileMonoid:
                 for _ in range(10):
                     x = tuple(rng.choice(syms) for _ in range(rng.randint(1, 5)))
                     y = tuple(rng.choice(syms) for _ in range(rng.randint(1, 5)))
-                    cx = m.canonical(profile_of_word(s, x))
-                    cy = m.canonical(profile_of_word(s, y))
+                    cx = m.elements[element_of(m, x)]
+                    cy = m.elements[element_of(m, y)]
                     for q in range(s.state_count):
                         got = omega_accept(a, cx, cy, q)
                         assert got == naive_accepts(a, LassoWord(x, y), q), (kind, x, y, q)
-                    assert m.key(compose(cx, cy)) == m.key(profile_of_word(s, x + y))
+                    xy = element_of(m, cx.representative + cy.representative)
+                    assert xy == m.by_key[naive_profile(a, x + y)], (kind, x, y)
+
+    def test_join_is_the_key_of_a_union(self):
+        # join(loop_key(A), loop_key(B)) == loop_key(A | B) for nonempty
+        # visited sets, drawn inside Muller table entries as well as anywhere
+        rng = random.Random("profiles/join")
+        for kind in ACCEPTANCE_KINDS:
+            for _ in range(30):
+                a = random_acceptor(rng, max_states=5, kinds=(kind,))
+                acc = a.acceptance
+                state_pools = [range(a.structure.state_count)]
+                trans_pools = [a.structure.all_transitions()]
+                if kind == "muller":
+                    state_pools += sorted(acc.table, key=sorted)
+                if kind == "tmuller":
+                    trans_pools += sorted(acc.table, key=sorted)
+                for _ in range(20):
+                    sa, sb = (_subset(rng, rng.choice(state_pools)) for _ in range(2))
+                    ta, tb = (_subset(rng, rng.choice(trans_pools)) for _ in range(2))
+                    ka, kb = acc.loop_key(sa, ta), acc.loop_key(sb, tb)
+                    assert acc.join(ka, kb) == acc.loop_key(sa | sb, ta | tb), (kind, sa, sb, ta, tb)
 
     def test_transition_muller_monoid_stays_small(self):
         # keyed on full visited-transition sets, this acceptor's monoid
@@ -143,19 +196,21 @@ class TestProfileMonoid:
 
 class TestOmegaAccept:
     def test_matches_lasso_membership(self):
+        # an empty spoke is read as one more turn of the cycle: the monoid
+        # has no element for the empty word
         rng = random.Random(17)
         for name in ("fig3_M", "fig6_P", "fig2_T", "fig5_Cbad"):
             a = fixture(name)
-            s = a.structure
-            syms = s.alphabet.symbols
+            m = profile_monoid(a)
+            syms = a.alphabet.symbols
             for _ in range(50):
                 spoke = tuple(rng.choice(syms) for _ in range(rng.randint(0, 4)))
                 cycle = tuple(rng.choice(syms) for _ in range(rng.randint(1, 4)))
                 got = omega_accept(
                     a,
-                    profile_of_word(s, spoke),
-                    profile_of_word(s, cycle),
-                    s.initial,
+                    m.elements[element_of(m, spoke or cycle)],
+                    m.elements[element_of(m, cycle)],
+                    a.structure.initial,
                 )
                 assert got == naive_accepts(a, LassoWord(spoke, cycle)), (name, spoke, cycle)
 
