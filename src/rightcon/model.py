@@ -165,11 +165,18 @@ class Acceptance:
     def loop_key(self, states: frozenset[int], transitions: frozenset[Transition]):
         """What accepts_loop can observe of nonempty visited sets: a hit bit
         for Büchi and co-Büchi, the minimum colour for parity, the set itself
-        or TOP for Muller.  accepts_loop depends on the sets only through it."""
+        or TOP for Muller.  accepts_loop depends on the sets only through
+        it: accepts_key(loop_key(S, T)) == accepts_loop(S, T)."""
         raise NotImplementedError
 
     def join(self, a, b):
         """The loop key of A ∪ B, given a = loop_key(A) and b = loop_key(B)."""
+        raise NotImplementedError
+
+    def accepts_key(self, key) -> bool:
+        """The verdict on infinity sets whose loop key is `key`.  The profile
+        monoid reads every ω-verdict this way, from the join of an element's
+        periodic keys, without the sets or the element's word."""
         raise NotImplementedError
 
     def referenced_states(self) -> set[int]:
@@ -193,6 +200,9 @@ class Buchi(Acceptance):
     def join(self, a, b):
         return a or b
 
+    def accepts_key(self, key):
+        return key
+
     def referenced_states(self):
         return set(self.accepting)
 
@@ -210,6 +220,9 @@ class CoBuchi(Acceptance):
 
     def join(self, a, b):
         return a or b
+
+    def accepts_key(self, key):
+        return not key
 
     def referenced_states(self):
         return set(self.avoided)
@@ -231,6 +244,9 @@ class Parity(Acceptance):
     def join(self, a, b):
         return min(a, b)
 
+    def accepts_key(self, key):
+        return key % 2 == 1
+
     def referenced_states(self):
         return set(range(len(self.colors)))
 
@@ -243,6 +259,10 @@ class _Muller(Acceptance):
 
     def join(self, a, b):
         return TOP if a is TOP or b is TOP else self._key(a | b)
+
+    def accepts_key(self, key):
+        # TOP is a string, never a table entry
+        return key in self.table
 
 
 @dataclass(frozen=True)

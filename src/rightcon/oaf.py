@@ -67,10 +67,11 @@ def parse_oaf(text: str) -> Acceptor:
         raise ParseError(no, reason)
 
     def integer(no, tok, reason):
-        try:
-            return int(tok)
-        except ValueError:
+        # plain ASCII digits, as print_oaf writes them: int() would also
+        # take signs, underscores and other scripts' digits
+        if not (tok.isascii() and tok.isdigit()):
             fail(no, f"{reason}, got {tok!r}")
+        return int(tok)
 
     def state(no, tok):
         q = integer(no, tok, "expected a state id")

@@ -9,7 +9,7 @@ from .errors import CapacityExceeded
 from .graph import bfs_order
 from .model import Acceptor, LassoWord
 from .parity import ParityView, find_discrepancy
-from .semantics import LoopVerdicts, _walk, accepts
+from .semantics import _walk, accepts
 
 MONOID_CAPACITY = 200000
 
@@ -28,12 +28,12 @@ class ProfileMonoid:
     """Profiles of all nonempty words, built letter by letter.
 
     A profile keeps, per source state, only the target and the loop key of
-    the visited sets: the ω-verdicts of a word's products read nothing else.
-    The breadth-first closure starts from the letters, keyed on single
-    transitions, and extends each element by each letter g: a source with
-    target t and key k gets target g.targets[t] and key
-    `Acceptance.join(k, g.keys[t])`.  Equal profiles are merged; the
-    shortlex-least word of each is its representative.
+    the visited sets: the ω-verdicts and quotient orbits of a word's
+    products read nothing else, and are read from these two tables
+    (`_OmegaVerdicts`, `_settles`), not from the word.  The elements are
+    those of the breadth-first closure `_closure`, drained whole, in the
+    order it finds them; the shortlex-least word of each is its
+    representative.
 
     `right[i][a]` is elements[i] followed by letter a, whose element is
     `letters[a]`.  Profiles form a congruence, so walking `right` from i
@@ -42,54 +42,117 @@ class ProfileMonoid:
 
     def __init__(self, acceptor: Acceptor, capacity: int = MONOID_CAPACITY):
         self.acceptor = acceptor
-        acceptance = acceptor.acceptance
-        delta = acceptor.structure.delta
-        letters = [
-            Profile(
-                tuple(row[a] for row in delta),
-                tuple(
-                    acceptance.loop_key(frozenset([row[a]]), frozenset([(q, sym, row[a])]))
-                    for q, row in enumerate(delta)
-                ),
-                (sym,),
-            )
-            for a, sym in enumerate(acceptor.alphabet.symbols)
-        ]
-        join = acceptance.join
-        self.elements: list[Profile] = []
         self.by_key: dict = {}
+        self.letters: list[int] = []
         self.right: list[list[int]] = []
-
-        def index_of(p: Profile) -> int:
-            k = p.targets, p.keys
-            if k not in self.by_key:
-                if len(self.elements) >= capacity:
-                    raise CapacityExceeded("profile monoid", capacity)
-                self.by_key[k] = len(self.elements)
-                self.elements.append(p)
-            return self.by_key[k]
-
-        self.letters = [index_of(g) for g in letters]
-        # breadth-first: elements are expanded in the order they are found
-        for e in self.elements:
-            self.right.append([
-                index_of(Profile(
-                    tuple(g.targets[t] for t in e.targets),
-                    tuple(join(k, g.keys[t]) for k, t in zip(e.keys, e.targets)),
-                    e.representative + g.representative,
-                ))
-                for g in letters
-            ])
+        self.elements = list(_closure(acceptor, capacity, self.by_key, self.letters, self.right))
 
 
 def profile_monoid(acceptor: Acceptor, capacity: int = MONOID_CAPACITY) -> ProfileMonoid:
     return ProfileMonoid(acceptor, capacity)
 
 
+class _Join(dict):
+    """`join(k, keys[t])` for one letter's keys, looked up by the pair
+    (k, t) and computed on first use."""
+
+    def __init__(self, join, keys):
+        self.join = join
+        self.keys = keys
+
+    def __missing__(self, pair):
+        k, t = pair
+        self[pair] = key = self.join(k, self.keys[t])
+        return key
+
+
+def _closure(acceptor: Acceptor, capacity: int, by_key: dict, letters: list, right: list):
+    """Yield each element of the profile monoid when it is first found.
+
+    The letters come first, keyed on single transitions.  Then each element,
+    in the order found, is extended by each letter g: a source with target t
+    and key k gets target g.targets[t] and key `Acceptance.join(k,
+    g.keys[t])`, memoised per (k, g, t).  A product is looked up by its
+    (targets, keys) before a Profile is built for it.  Fills `by_key` with
+    each element's index, `letters` with each letter's and `right` with each
+    extended element's row, so a consumer that stops early leaves them
+    partial.
+    """
+    acceptance = acceptor.acceptance
+    delta = acceptor.structure.delta
+    elements: list[Profile] = []
+
+    def add(key, representative) -> Profile:
+        if len(elements) >= capacity:
+            raise CapacityExceeded("profile monoid", capacity)
+        by_key[key] = len(elements)
+        elements.append(Profile(*key, representative))
+        return elements[-1]
+
+    steps = []
+    for a, sym in enumerate(acceptor.alphabet.symbols):
+        targets = tuple(row[a] for row in delta)
+        keys = tuple(
+            acceptance.loop_key(frozenset([t]), frozenset([(q, sym, t)]))
+            for q, t in enumerate(targets)
+        )
+        steps.append((sym, targets.__getitem__, _Join(acceptance.join, keys).__getitem__))
+        if (targets, keys) not in by_key:
+            yield add((targets, keys), (sym,))
+        letters.append(by_key[targets, keys])
+    # breadth-first: elements are extended in the order they are found
+    for e in elements:
+        row = []
+        for sym, target, join in steps:
+            key = tuple(map(target, e.targets)), tuple(map(join, zip(e.keys, e.targets)))
+            i = by_key.get(key)
+            if i is None:
+                yield add(key, e.representative + (sym,))
+                i = len(elements) - 1
+            row.append(i)
+        right.append(row)
+
+
+class _OmegaVerdicts(dict):
+    """Acceptance of rep(e)^omega from each state, read from e's tables; a
+    state's entry is computed when it is first looked up.
+
+    The run from q reads rep(e) from the boundary states q, e.targets[q],
+    ... .  Once one of them repeats, the infinity sets are what rep(e)
+    visits from the periodic boundary states, so their loop key is the join
+    of those states' keys.  A walk stops at a repeated or settled state and
+    settles every state it passed.
+    """
+
+    def __init__(self, acceptance, e: Profile):
+        self.acceptance = acceptance
+        self.e = e
+
+    def __missing__(self, q: int) -> bool:
+        targets = self.e.targets
+        walk = []
+        while q not in self and q not in walk:
+            walk.append(q)
+            q = targets[q]
+        if q in self:
+            verdict = self[q]
+        else:
+            keys, join = self.e.keys, self.acceptance.join
+            key, p = keys[q], targets[q]
+            while p != q:
+                key = join(key, keys[p])
+                p = targets[p]
+            verdict = self.acceptance.accepts_key(key)
+        for p in walk:
+            self[p] = verdict
+        return verdict
+
+
 def omega_accept(acceptor: Acceptor, s: Profile, t: Profile, from_state: int) -> bool:
-    """Acceptance of rep(s) . rep(t)^omega started at from_state, read off
-    the lasso simulator."""
-    return accepts(acceptor, LassoWord(s.representative, t.representative), from_state)
+    """Acceptance of rep(s) . rep(t)^omega started at from_state: the
+    verdict of rep(t)^omega from s.targets[from_state], read from the
+    tables of t."""
+    return _OmegaVerdicts(acceptor.acceptance, t)[s.targets[from_state]]
 
 
 def _cycle(monoid: ProfileMonoid, e: Profile) -> tuple[int, ...]:
@@ -97,31 +160,37 @@ def _cycle(monoid: ProfileMonoid, e: Profile) -> tuple[int, ...]:
     return tuple(map(monoid.acceptor.alphabet.index, e.representative))
 
 
-def _stabilizes(delta, start: int, cycle) -> bool:
-    """Does the run from start on cycle^omega reach a state that one reading
-    of cycle maps to itself, so that its walk repeats after one reading?"""
-    path, entry = _walk(delta, start, cycle, ())
-    return len(path) == (entry + 1) * len(cycle) + 1
+def _settles(step, c: int) -> bool:
+    """Does the orbit c, step[c], step[step[c]], ... of a class map reach a
+    fixed point?  Walks until a class repeats and asks whether that class
+    maps to itself."""
+    seen = set()
+    while c not in seen:
+        seen.add(c)
+        c = step[c]
+    return step[c] == c
 
 
 def is_respective(acceptor: Acceptor):
     """Whenever some x.u^omega is accepted, must the congruence orbit of
     x under u stabilize?  Returns (verdict, witness words or None).
 
-    Each element's cycle verdicts from the reachable states come from one
-    LoopVerdicts over its representative u, and the orbit of [x] is the
-    quotient's run on u^omega."""
+    Each element e of the monoid is tested as the closure finds it, and the
+    first failure ends the closure.  The verdicts of rep(e)^omega come from
+    e's tables, and the orbit of [x] under rep(e) is that of the class map
+    c -> [e.targets[q]] for any q in c."""
     quotient = rightcon_quotient(acceptor)
     proj = quotient.projection
-    qdelta = quotient.structure.delta
-    monoid = profile_monoid(acceptor)
+    members = [min(c) for c in quotient.classes]
+    acceptance = acceptor.acceptance
     structure = acceptor.structure
     reachable = sorted(proj)
-    for e in monoid.elements:
-        u = _cycle(monoid, e)
-        verdicts = LoopVerdicts(acceptor, u)
+    for e in _closure(acceptor, MONOID_CAPACITY, {}, [], []):
+        targets = e.targets
+        step = [proj[targets[q]] for q in members]
+        verdicts = _OmegaVerdicts(acceptance, e)
         for q in reachable:
-            if verdicts[q] and not _stabilizes(qdelta, proj[q], u):
+            if not _settles(step, proj[q]) and verdicts[q]:
                 x = shortest_word_to(structure, structure.initial, q)
                 return False, (x, e.representative)
     return True, None
@@ -135,8 +204,9 @@ def respective_pair_check(acceptor: Acceptor, x, u) -> bool:
         return True
     quotient = rightcon_quotient(acceptor)
     structure = acceptor.structure
+    qs = quotient.structure
     start = quotient.projection[structure.run(structure.initial, x)]
-    return _stabilizes(quotient.structure.delta, start, tuple(map(structure.alphabet.index, u)))
+    return _settles([qs.run(c, u) for c in range(qs.state_count)], start)
 
 
 def _times(monoid: ProfileMonoid, i: int, word) -> int:
@@ -155,7 +225,7 @@ def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
     the quotient projection `proj`, and refine to a two-sided congruence
     under the letters.
     """
-    acceptor = monoid.acceptor
+    acceptance = monoid.acceptor.acceptance
     reachable = sorted(proj)
     els = monoid.elements
     n_el = len(els)
@@ -168,7 +238,7 @@ def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
         e = els[i]
         lin = tuple(proj[e.targets[p]] for p in reachable)
         # acceptance of p . e^omega for every reachable p
-        verdicts = LoopVerdicts(acceptor, _cycle(monoid, e))
+        verdicts = _OmegaVerdicts(acceptance, e)
         cyc = tuple(verdicts[p] for p in reachable)
         return (lin, cyc)
 

@@ -451,30 +451,40 @@ def shortlex_first_words(structure, class_of):
     return first
 
 
+def orbit_stabilizes(acceptor, quotient, x, u) -> bool:
+    """Does the orbit of [x] under u in the quotient reach a fixed point?
+    Runs u on the quotient structure from [x] until a class repeats."""
+    qs = quotient.structure
+    cur = quotient.projection[acceptor.structure.run(acceptor.structure.initial, x)]
+    seen = {cur}
+    for _ in range(qs.state_count + 1):
+        nxt = qs.run(cur, u)
+        if nxt == cur:
+            return True
+        if nxt in seen:
+            return False
+        seen.add(nxt)
+        cur = nxt
+    return False
+
+
+def refutes_respective(acceptor, x, u) -> bool:
+    """Is (x, u) a witness against respectiveness: x.u^omega accepted, by
+    naive simulation, while the quotient orbit of [x] under u never
+    reaches a fixed point?"""
+    x, u = tuple(x), tuple(u)
+    return naive_accepts(acceptor, LassoWord(x, u)) and not orbit_stabilizes(
+        acceptor, rightcon_quotient(acceptor), x, u
+    )
+
+
 def oracle_respective_bruteforce(acceptor, max_x: int = 3, max_u: int = 4):
     """Bounded search for a pair (x, u) where x.u^omega is accepted but the
     quotient orbit of [x] under u never reaches a fixed point."""
     quotient = rightcon_quotient(acceptor)
-    qs = quotient.structure
-    proj = quotient.projection
-    structure = acceptor.structure
     for x in words_up_to(acceptor.alphabet, 0, max_x):
         for u in words_up_to(acceptor.alphabet, 1, max_u):
-            if not accepts(acceptor, LassoWord(x, u)):
-                continue
-            cur = proj[structure.run(structure.initial, x)]
-            seen = {cur}
-            stabilized = False
-            for _ in range(qs.state_count + 1):
-                nxt = qs.run(cur, u)
-                if nxt == cur:
-                    stabilized = True
-                    break
-                if nxt in seen:
-                    break
-                seen.add(nxt)
-                cur = nxt
-            if not stabilized:
+            if accepts(acceptor, LassoWord(x, u)) and not orbit_stabilizes(acceptor, quotient, x, u):
                 return False, (x, u)
     return True, None
 

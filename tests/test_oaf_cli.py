@@ -132,10 +132,14 @@ class TestOafErrors:
             ("oaf 1\nalphabet\n", 2, "alphabet needs"),
             ("oaf 1\nstates x\n", 2, "states needs"),
             ("oaf 1\nstates ²\n", 2, "states needs"),
+            ("oaf 1\nstates 1_0\n", 2, "states needs"),
             ("oaf 1\ninitial\n", 2, "initial needs"),
+            ("oaf 1\nalphabet a\nstates 4\ninitial ٣\n", 4, "expected a state id"),
             (HEAD + "trans 0 a\n", 6, "trans needs"),
+            (HEAD + "trans +0 a 0\n", 6, "expected a state id"),
             (HEAD + "acc\n", 6, "empty acc"),
             (HEAD + "acc color 0\n", 6, "acc color needs"),
+            (HEAD.replace("buchi", "parity") + "acc color 0 -1\n", 6, "expected a color"),
             (HEAD + "acc set\n", 6, "acc set needs"),
             (HEAD + "acc tset 0 a\n", 6, "acc tset needs"),
             (HEAD + "acc tset 0 a 0 ; 0 z 0\n", 6, "unknown symbol 'z'"),

@@ -1,12 +1,14 @@
 """Transition profiles, the profile monoid, respectiveness, non-counting."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from rightcon import (
     LassoWord,
     accepts,
+    convert,
     fixture,
     complement,
     is_non_counting,
@@ -18,6 +20,7 @@ from rightcon import (
     respective_pair_check,
 )
 from rightcon.errors import CapacityExceeded
+from rightcon.profiles import MONOID_CAPACITY, _closure, _OmegaVerdicts
 
 from helpers import (
     ACCEPTANCE_KINDS,
@@ -27,6 +30,7 @@ from helpers import (
     oracle_respective_bruteforce,
     prefix_pumping_flip,
     random_acceptor,
+    refutes_respective,
     words_up_to,
 )
 
@@ -57,6 +61,28 @@ def _subset(rng, pool):
     """A random nonempty subset of pool."""
     items = sorted(pool)
     return frozenset(x for x in items if rng.random() < 0.5) or frozenset([rng.choice(items)])
+
+
+def _visited_sets(rng, a, draws):
+    """Random nonempty (states, transitions) visited sets of acceptor a,
+    drawn from all states/transitions and from inside Muller table entries."""
+    state_pools = [range(a.structure.state_count)]
+    trans_pools = [a.structure.all_transitions()]
+    if a.acceptance.kind == "muller":
+        state_pools += sorted(a.acceptance.table, key=sorted)
+    if a.acceptance.kind == "tmuller":
+        trans_pools += sorted(a.acceptance.table, key=sorted)
+    for _ in range(draws):
+        yield _subset(rng, rng.choice(state_pools)), _subset(rng, rng.choice(trans_pools))
+
+
+def _small_inputs(per_kind=6):
+    """The fixtures, then random acceptors of every kind."""
+    rng = random.Random("profiles/tables")
+    out = all_fixtures()
+    for kind in ACCEPTANCE_KINDS:
+        out += [(f"{kind}/{i}", random_acceptor(rng, max_states=4, kinds=(kind,))) for i in range(per_kind)]
+    return out
 
 
 class TestProfileAlgebra:
@@ -171,17 +197,38 @@ class TestProfileMonoid:
             for _ in range(30):
                 a = random_acceptor(rng, max_states=5, kinds=(kind,))
                 acc = a.acceptance
-                state_pools = [range(a.structure.state_count)]
-                trans_pools = [a.structure.all_transitions()]
-                if kind == "muller":
-                    state_pools += sorted(acc.table, key=sorted)
-                if kind == "tmuller":
-                    trans_pools += sorted(acc.table, key=sorted)
-                for _ in range(20):
-                    sa, sb = (_subset(rng, rng.choice(state_pools)) for _ in range(2))
-                    ta, tb = (_subset(rng, rng.choice(trans_pools)) for _ in range(2))
+                draws = list(_visited_sets(rng, a, 40))
+                for (sa, ta), (sb, tb) in zip(draws[::2], draws[1::2]):
                     ka, kb = acc.loop_key(sa, ta), acc.loop_key(sb, tb)
                     assert acc.join(ka, kb) == acc.loop_key(sa | sb, ta | tb), (kind, sa, sb, ta, tb)
+
+    def test_accepts_key_is_the_verdict_of_the_sets(self):
+        rng = random.Random("profiles/accepts_key")
+        for kind in ACCEPTANCE_KINDS:
+            seen = set()
+            for _ in range(30):
+                a = random_acceptor(rng, max_states=5, kinds=(kind,))
+                acc = a.acceptance
+                for states, trans in _visited_sets(rng, a, 20):
+                    want = acc.accepts_loop(states, trans)
+                    assert acc.accepts_key(acc.loop_key(states, trans)) == want, (kind, states, trans)
+                    seen.add(want)
+            # both verdicts occur for every kind
+            assert seen == {False, True}, kind
+
+    def test_closure_streams_the_monoid_in_order(self):
+        for name, a in _small_inputs():
+            elements = profile_monoid(a).elements
+            assert list(_closure(a, MONOID_CAPACITY, {}, [], [])) == elements, name
+            # each element is yielded when found, before later ones are
+            # searched for: a capacity one short of the monoid still yields
+            # every element but the last
+            n = len(elements)
+            stream = _closure(a, n - 1, {}, [], [])
+            assert list(islice(stream, n - 1)) == elements[:-1], name
+            if n > 1:
+                with pytest.raises(CapacityExceeded):
+                    next(stream)
 
     def test_transition_muller_monoid_stays_small(self):
         # keyed on full visited-transition sets, this acceptor's monoid
@@ -195,6 +242,16 @@ class TestProfileMonoid:
 
 
 class TestOmegaAccept:
+    def test_table_verdicts_match_simulation(self):
+        # the ω-verdict of every element from every reachable state, read
+        # from its tables, against simulation of its representative
+        for name, a in _small_inputs():
+            for e in profile_monoid(a).elements:
+                verdicts = _OmegaVerdicts(a.acceptance, e)
+                w = LassoWord((), e.representative)
+                for q in sorted(a.structure.reachable_states()):
+                    assert verdicts[q] == naive_accepts(a, w, q), (name, e.representative, q)
+
     def test_matches_lasso_membership(self):
         # an empty spoke is read as one more turn of the cycle: the monoid
         # has no element for the empty word
@@ -250,6 +307,23 @@ class TestRespective:
         got, witness = is_respective(complement(fixture("fig6_P")))
         assert not got
         assert witness == ((), ("b",))
+
+    def test_stops_at_the_first_failing_element(self):
+        # its monoid has over 100,000 elements; the witness is the 47th found
+        a = random_dma(7, "dump/0")
+        assert is_respective(a) == (False, ((), ("a", "a", "c", "b")))
+        assert refutes_respective(a, (), ("a", "a", "c", "b"))
+
+    def test_answers_before_the_monoid_exceeds_capacity(self):
+        # the whole monoid of each of these exceeds MONOID_CAPACITY
+        inputs = [random_dma(8, f"dump/{i}") for i in range(3)]
+        inputs.append(convert(random_dma(5, "c/0"), "tmuller"))
+        for a in inputs:
+            with pytest.raises(CapacityExceeded):
+                profile_monoid(a, capacity=5000)
+            got, (x, u) = is_respective(a)
+            assert not got
+            assert refutes_respective(a, x, u), (x, u)
 
 
 class TestNonCounting:
