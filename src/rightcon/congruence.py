@@ -85,36 +85,42 @@ def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
     One product of the acceptor's parity machine with itself, rooted at
     every pair of reachable states, settles all pairs at once: a pair is
     inequivalent exactly when its root reaches an SCC on which the two
-    copies disagree, the SCCs `find_discrepancy` would accept.  The nodes
-    reaching such an SCC grow after each one found, and the search stops
-    once every root pair is among them: most random acceptors are their own
-    quotient, and the first SCC already splits every pair.  Blocks list
-    states in breadth-first order; each state joins the block of the first
-    earlier representative it is equivalent to.
+    copies disagree, the SCCs `find_discrepancy` would accept.  The product
+    numbers its nodes, root pair r as node r, so the predecessor lists and
+    the marks of the nodes reaching such an SCC are indexed by node.  The
+    marks grow after each SCC found, and the search stops once every root
+    is marked: most random acceptors are their own quotient, and the first
+    SCC already splits every pair.  Blocks list states in breadth-first
+    order; each state joins the block of the first earlier representative
+    it is equivalent to.
     """
     structure = acceptor.structure
     order = bfs_order(structure.initial, structure.delta.__getitem__)
     view = ParityView(acceptor)
-    roots = [(view.initial(p), view.initial(q)) for p, q in combinations(order, 2)]
+    # automaton state q is view state q
+    roots = list(combinations(order, 2))
     _, edges = pair_product(view, view, roots)
-    preds: dict = {}
+    size = len(edges) // view.k  # every node has one edge per symbol
+    preds: list[list[int]] = [[] for _ in range(size)]
     for (u, _, v, _, _) in edges:
-        preds.setdefault(v, []).append(u)
-    bad = set()
-    for nodes, _, _, _ in discrepant_components(edges):
-        frontier = [v for v in nodes if v not in bad]
-        bad.update(frontier)
+        preds[v].append(u)
+    bad = bytearray(size)
+    for nodes, _, _, _ in discrepant_components(edges, size):
+        frontier = [v for v in nodes if not bad[v]]
+        for v in frontier:
+            bad[v] = 1
         while frontier:
-            for u in preds.get(frontier.pop(), ()):
-                if u not in bad:
-                    bad.add(u)
+            for u in preds[frontier.pop()]:
+                if not bad[u]:
+                    bad[u] = 1
                     frontier.append(u)
-        if all(r in bad for r in roots):
+        if all(bad[: len(roots)]):
             break
+    root_of = {pair: r for r, pair in enumerate(roots)}
     blocks: list[list[int]] = []
     for q in order:
         for b in blocks:
-            if (view.initial(b[0]), view.initial(q)) not in bad:
+            if not bad[root_of[b[0], q]]:
                 b.append(q)
                 break
         else:

@@ -1,12 +1,15 @@
 """Graph kernels: strongly connected components and breadth-first search.
 
-Graphs are given by a successor function; vertices are any hashable values.
+The SCC search takes adjacency lists over vertices numbered from 0; the
+breadth-first searches take a successor function over any hashable values.
 Every search follows the order in which its inputs list vertices and edges,
 so its results do not depend on hash order.
 
-They serve reachable states, the quotient and its representatives, the
-counting witness, trivial-decomposition blocks, subset and product
-constructions, lasso spokes, covering walks and pair-product SCCs.
+The SCCs are those of the parity pair product's threshold subgraphs.  The
+breadth-first searches serve reachable states, the partition's state
+order, the quotient and its representatives, refinement, the counting
+witness, trivial-decomposition blocks, subset and product constructions,
+lasso spokes, covering walks and the paths inside a product SCC.
 """
 
 from __future__ import annotations
@@ -14,54 +17,55 @@ from __future__ import annotations
 from collections import deque
 
 
-def sccs(vertices, succ) -> list[frozenset]:
-    """Maximal SCCs of the graph restricted to `vertices` (iterative Tarjan).
+def sccs(adj: list[list[int]], roots) -> list[list[int]]:
+    """Maximal SCCs of the part of a graph on vertices 0..len(adj)-1 that
+    the roots reach (iterative Tarjan).
 
-    Roots are tried in the iteration order of `vertices`; components come
-    out in completion order, so a component precedes every one reaching it.
+    adj[v] lists the successors of v.  Roots are tried in the order given,
+    successors in list order; components come out in completion order, so
+    a component precedes every one reaching it.
     """
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
+    index = [0] * len(adj)  # preorder number from 1; 0 while unvisited
+    low = [0] * len(adj)
+    on_stack = bytearray(len(adj))
+    stack: list[int] = []
     out = []
-    for root in vertices:
-        if root in index:
+    count = 0
+    for root in roots:
+        if index[root]:
             continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = len(index)
+        count += 1
+        index[root] = low[root] = count
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
+        work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in vertices:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
+                    on_stack[w] = 1
+                    work.append((w, iter(adj[w])))
                     break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                out.append(frozenset(comp))
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        on_stack[w] = 0
+                    out.append(comp)
     return out
 
 

@@ -135,9 +135,13 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
 
     Each step draws one lasso and splits every block of states that no
     earlier lasso told apart by their verdicts on it.  Only blocks of two or
-    more states are kept, and the states reached after the spoke share one
-    LoopVerdicts, so each boundary state reads the cycle at most once per
-    lasso.
+    more states are kept.  A block's states are grouped by the state the
+    spoke leads to, and those groups by where one reading of the cycle
+    leads from there: the run of cycle^omega from p and from f(p), where f
+    reads the cycle once, has the same infinity sets.  A block left in one
+    group cannot split, and no verdict is read for it.  Otherwise the
+    distinct states reached share one LoopVerdicts, so each boundary state
+    reads the cycle at most once more per lasso.
 
     Equivalent states are never split, so if the exact partition is not
     discrete the answer is already False.  It is consulted once, after the
@@ -159,16 +163,30 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
         verdicts = LoopVerdicts(acceptor, cycle)
         split = []
         for block in live:
-            accepted, rejected = [], []
+            ends: dict[int, list[int]] = {}
             for q in block:
                 p = q
                 for i in spoke:
                     p = delta[p][i]
-                (accepted if verdicts[p] else rejected).append(q)
-            if len(accepted) > 1:
-                split.append(accepted)
-            if len(rejected) > 1:
-                split.append(rejected)
+                ends.setdefault(p, []).append(q)
+            if len(ends) > 1:
+                loops: dict[int, list[int]] = {}
+                for p, merged in ends.items():
+                    for i in cycle:
+                        p = delta[p][i]
+                    loops.setdefault(p, []).extend(merged)
+                if len(loops) > 1:
+                    accepted, rejected = [], []
+                    for p, merged in loops.items():
+                        (accepted if verdicts[p] else rejected).extend(merged)
+                    if len(accepted) > 1:
+                        split.append(accepted)
+                    if len(rejected) > 1:
+                        split.append(rejected)
+                    continue
+            # the runs of all its states merge after the spoke or after one
+            # reading of the cycle, so they share their infinity sets
+            split.append(block)
         live = split
     return not live
 

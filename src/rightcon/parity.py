@@ -9,6 +9,12 @@ opposite verdict.  The
 leaf-tracking construction yields emitted priorities whose minimal
 infinitely-occurring value is odd exactly on accepted runs.  Comparing two
 acceptors then reduces to a threshold-subgraph cycle search on the product.
+
+Everything on this path is numbered: a ParityView numbers its (state,
+leaf) pairs and tabulates their steps when it is built, the pair product
+numbers its nodes breadth first and keeps its edges as int tuples, and the
+SCC search runs on adjacency lists indexed by node.  The product stops
+with CapacityExceeded past PRODUCT_CAPACITY nodes.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .errors import CapacityExceeded
 from .graph import bfs_path, sccs
 from .model import (
     Acceptor,
@@ -154,80 +161,107 @@ class AlternatingTree:
 class ParityView:
     """Deterministic edge-colored parity machine for an acceptor.
 
-    States are (automaton state, leaf of the acceptance's AlternatingTree,
-    with Büchi and co-Büchi read as their parity colorings); each step
-    emits a priority.  The minimal priority occurring infinitely often is
-    odd iff the run is accepted by the original acceptor.
+    Its states are the (automaton state, leaf) pairs reachable from
+    (q, leftmost leaf of the root) for each automaton state q, the leaves
+    being those of the acceptance's AlternatingTree (Büchi and co-Büchi
+    are read as their parity colorings).  They are numbered breadth first
+    when the view is built, the roots first, so that automaton state q is
+    view state q.  Reading symbol index i from view state s leads to
+    nxt[s*k + i] and emits priority pri[s*k + i], over k symbols.  The
+    minimal priority occurring infinitely often is odd iff the run is
+    accepted by the original acceptor.
     """
 
     def __init__(self, acceptor: Acceptor):
         self.acceptor = acceptor
         structure = acceptor.structure
         acc = acceptor.acceptance
-        self.transition_colors = isinstance(acc, MullerTransitions)
-        if self.transition_colors:
+        transition_colors = isinstance(acc, MullerTransitions)
+        if transition_colors:
             colors = frozenset(structure.all_transitions())
         else:
             colors = frozenset(range(structure.state_count))
         if isinstance(acc, (Buchi, CoBuchi)):
             acc = as_parity(acc, structure.state_count)
-        self.tree = AlternatingTree(colors, acc)
-        self.root_leaf = self.tree.nodes[0].leftmost_leaf
-        self._cache: dict = {}
+        self.tree = tree = AlternatingTree(colors, acc)
+        root_leaf = tree.nodes[0].leftmost_leaf
+        symbols = structure.alphabet.symbols
+        delta = structure.delta
+        self.k = len(symbols)
+        # the (automaton state, leaf) pair of each view state
+        self.states = [(q, root_leaf) for q in range(structure.state_count)]
+        ids = {s: q for q, s in enumerate(self.states)}
+        self.nxt: list[int] = []
+        self.pri: list[int] = []
+        for q, leaf in self.states:  # grows while it is read
+            for sym, q2 in zip(symbols, delta[q]):
+                color = (q, sym, q2) if transition_colors else q2
+                leaf2, priority = tree.advance(leaf, color)
+                t = ids.get((q2, leaf2))
+                if t is None:
+                    t = ids[q2, leaf2] = len(self.states)
+                    self.states.append((q2, leaf2))
+                self.nxt.append(t)
+                self.pri.append(priority)
 
-    def initial(self, q: int | None = None):
-        if q is None:
-            q = self.acceptor.structure.initial
-        return (q, self.root_leaf)
-
-    def step(self, state, symbol: str):
-        """Returns ((q', leaf'), priority)."""
-        key = (state, symbol)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        q, leaf = state
-        q2 = self.acceptor.structure.step(q, symbol)
-        color = (q, symbol, q2) if self.transition_colors else q2
-        leaf2, priority = self.tree.advance(leaf, color)
-        result = ((q2, leaf2), priority)
-        self._cache[key] = result
-        return result
+    def initial(self, q: int | None = None) -> int:
+        """The view state of automaton state q, by default the initial one."""
+        return self.acceptor.structure.initial if q is None else q
 
 
-def pair_product(view_a: ParityView, view_b: ParityView, roots) -> tuple[dict, list]:
-    """Product of two parity machines reachable from the `roots` pairs.
+# Most product nodes pair_product numbers before it gives up.  The tests,
+# the catalog fixtures and the benchmark inputs build at most about 22,000;
+# a partition product just below the bound peaks near 250 MB.
+PRODUCT_CAPACITY = 300_000
 
-    Returns the breadth-first parent of every node, (previous node, symbol)
-    or None for a root, and the edges (src, symbol, dst, pa, pb) in
-    discovery order.
+
+def pair_product(view_a: ParityView, view_b: ParityView, roots) -> tuple[list, list]:
+    """Product of two parity machines reachable from the `roots` pairs of
+    view states, which must be distinct.
+
+    Nodes are numbered 0, 1, ... in breadth-first order, so root pair r is
+    node r.  Returns the parent of every node, (previous node, symbol index)
+    or None for a root, and the edges (src, symbol index, dst, pa, pb) in
+    discovery order: node s's edge on symbol index i is edge s*k + i.
+    Raises CapacityExceeded once more than PRODUCT_CAPACITY nodes are
+    numbered.
     """
-    symbols = view_a.acceptor.alphabet.symbols
-    parent: dict = dict.fromkeys(roots)
-    edges = []
-    queue = deque(parent)
-    while queue:
-        s = queue.popleft()
-        sa, sb = s
-        for sym in symbols:
-            ta, pa = view_a.step(sa, sym)
-            tb, pb = view_b.step(sb, sym)
-            t = (ta, tb)
-            edges.append((s, sym, t, pa, pb))
-            if t not in parent:
-                parent[t] = (s, sym)
-                queue.append(t)
+    k = view_a.k
+    nxt_a, pri_a = view_a.nxt, view_a.pri
+    nxt_b, pri_b = view_b.nxt, view_b.pri
+    width = len(view_b.states)
+    ids = {a * width + b: r for r, (a, b) in enumerate(roots)}
+    node_a = [a for a, _ in roots]
+    node_b = [b for _, b in roots]
+    parent: list = [None] * len(ids)
+    edges: list[tuple[int, int, int, int, int]] = []
+    cap = PRODUCT_CAPACITY
+    # the lists grow while they are read: breadth-first order
+    for s, (a, b) in enumerate(zip(node_a, node_b)):
+        ea, eb = a * k, b * k
+        for i in range(k):
+            ta, tb = nxt_a[ea + i], nxt_b[eb + i]
+            key = ta * width + tb
+            t = ids.get(key)
+            if t is None:
+                t = ids[key] = len(parent)
+                if t >= cap:
+                    raise CapacityExceeded("parity product", cap)
+                node_a.append(ta)
+                node_b.append(tb)
+                parent.append((s, i))
+            edges.append((s, i, t, pri_a[ea + i], pri_b[eb + i]))
     return parent, edges
 
 
-def discrepant_components(edges):
+def discrepant_components(edges, size: int):
     """SCCs of the product that carry a cycle the two machines disagree on.
 
-    For each priority pair (i, j) of opposite parity, keeps the edges with
-    priorities >= (i, j) and yields, smallest first, each SCC of that
-    subgraph holding both an i-edge and a j-edge: (its nodes, its inner
-    edges, an i-edge, a j-edge).  A cycle through both has least
-    priorities exactly i and j.
+    The edges are pair_product's, over nodes 0..size-1.  For each priority
+    pair (i, j) of opposite parity, keeps the edges with priorities
+    >= (i, j) and yields, smallest first, each SCC of that subgraph holding
+    both an i-edge and a j-edge: (its nodes, its inner edges, an i-edge, a
+    j-edge).  A cycle through both has least priorities exactly i and j.
     """
     pa_values = sorted({e[3] for e in edges})
     pb_values = sorted({e[4] for e in edges})
@@ -239,13 +273,13 @@ def discrepant_components(edges):
             sub = [e for e in edges_i if e[4] >= j]
             if not any(e[3] == i for e in sub) or not any(e[4] == j for e in sub):
                 continue
-            adj: dict = {}  # insertion-ordered, so the search repeats run to run
+            adj: list[list[int]] = [[] for _ in range(size)]
             for e in sub:
-                adj.setdefault(e[0], [])
-                adj.setdefault(e[2], [])
                 adj[e[0]].append(e[2])
-            comps = sccs(adj, adj.__getitem__)
-            comp_of = {}
+            # the search starts from each edge's source in edge order, so
+            # it repeats run to run
+            comps = sccs(adj, (v for v in range(size) if adj[v]))
+            comp_of = [-1] * size
             for ci, comp in enumerate(comps):
                 for v in comp:
                     comp_of[v] = ci
@@ -275,31 +309,30 @@ def find_discrepancy(
     """
     start = (view_a.initial(from_a), view_b.initial(from_b))
     parent, edges = pair_product(view_a, view_b, [start])
+    symbols = view_a.acceptor.alphabet.symbols
 
     def spoke_to(node):
         out = []
-        cur = node
-        while parent[cur] is not None:
-            prev, sym = parent[cur]
-            out.append(sym)
-            cur = prev
+        while parent[node] is not None:
+            node, i = parent[node]
+            out.append(symbols[i])
         return tuple(reversed(out))
 
     def symbols_between(adj, src, dst):
         """Symbols of a shortest path from src to dst in the edge lists adj."""
         if src == dst:
             return []
-        steps = bfs_path(src, lambda u: adj.get(u, ()), lambda u, sym, v: v == dst)
-        return [sym for _, sym, _ in steps]
+        steps = bfs_path(src, lambda u: adj.get(u, ()), lambda u, i, v: v == dst)
+        return [symbols[i] for _, i, _ in steps]
 
-    for _, inner, e1, e2 in discrepant_components(edges):
+    for _, inner, e1, e2 in discrepant_components(edges, len(parent)):
         inner_adj: dict = {}
-        for (u, sym, v, _, _) in inner:
-            inner_adj.setdefault(u, []).append((sym, v))
+        for (u, i, v, _, _) in inner:
+            inner_adj.setdefault(u, []).append((i, v))
         cycle = [
-            e1[1],
+            symbols[e1[1]],
             *symbols_between(inner_adj, e1[2], e2[0]),
-            e2[1],
+            symbols[e2[1]],
             *symbols_between(inner_adj, e2[2], e1[0]),
         ]
         witness = LassoWord(spoke_to(e1[0]), tuple(cycle))

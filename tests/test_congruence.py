@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from rightcon import (
     index,
     is_trivial,
     powerset,
+    print_oaf,
     random_dma,
     refines,
     rightcon_quotient,
@@ -23,6 +25,8 @@ from rightcon import (
     trivial_decomposition,
     validate,
 )
+from rightcon import parity
+from rightcon.cli import main
 from rightcon.congruence import _parity_certificate, partition_language_equivalent
 from rightcon.dfa import Dfa
 from rightcon.errors import CapacityExceeded, NotMuller, NotTrivial
@@ -178,6 +182,20 @@ class TestQuotient:
                     if not same:
                         assert naive_accepts(a, witness, p) != naive_accepts(a, witness, q)
         assert {m for m in merged if m.startswith("dma/")} == {"dma/6/4", "dma/8/1", "dma/9/4"}
+
+    def test_product_capacity_stops_a_blowup(self, monkeypatch, tmp_path):
+        # the partition product of this draw pairs 1,417 parity states;
+        # unbounded, its quotient runs half a minute to about 800 MB
+        a = random_dma(18, "x/0", 3, 8)
+        monkeypatch.setattr(parity, "PRODUCT_CAPACITY", 50_000)
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceeded) as info:
+            rightcon_quotient(a)
+        assert time.perf_counter() - start < 10
+        assert (info.value.what, info.value.limit) == ("parity product", 50_000)
+        path = tmp_path / "x0.oaf"
+        path.write_text(print_oaf(a))
+        assert main(["quotient", str(path), "-o", str(tmp_path / "q.oaf")]) == 4
 
     def test_refines_quotient(self):
         for name in ("fig3_M", "fig5_Bbad", "L1", "fig7_bowtie"):

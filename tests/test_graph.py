@@ -78,8 +78,9 @@ def test_sccs_match_mutual_reachability():
         adj = random_graph(rng, n)
         within = [u for u in range(n) if rng.random() < 0.8]
         rng.shuffle(within)
-        comps = sccs(within, lambda u: [v for _, v in adj[u]])
-        r = reach(adj, set(within))
+        inside = set(within)
+        comps = sccs([[v for _, v in adj[u] if v in inside] for u in range(n)], within)
+        r = reach(adj, inside)
         want = {frozenset({u} | {v for v in r[u] if u in r[v]}) for u in within}
         assert sorted(map(sorted, comps)) == sorted(map(sorted, want))
         # completion order: a component comes before every one that reaches it

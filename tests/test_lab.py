@@ -5,7 +5,10 @@ import random
 import pytest
 
 from rightcon import (
+    Alphabet,
     ExperimentConfig,
+    TransitionStructure,
+    convert,
     fixture,
     random_dma,
     rightcon_quotient,
@@ -16,7 +19,13 @@ from rightcon.lab import _sampled_distinguished
 from rightcon.graph import sccs
 from rightcon.model import MullerStates
 
-from helpers import ACCEPTANCE_KINDS, naive_sampled_distinguished, random_acceptor
+from helpers import (
+    ACCEPTANCE_KINDS,
+    naive_sampled_distinguished,
+    random_acceptance,
+    random_acceptor,
+    random_structure,
+)
 
 
 class TestRandomDma:
@@ -40,7 +49,7 @@ class TestRandomDma:
             assert len(a.acceptance.table) == 2
             for entry in a.acceptance.table:
                 # strongly connected, self-loop required for singletons
-                comps = sccs(entry, lambda q: s.delta[q])
+                comps = sccs([[t for t in s.delta[q] if t in entry] for q in range(6)], sorted(entry))
                 assert len(comps) == 1
                 if len(entry) == 1:
                     q = next(iter(entry))
@@ -109,6 +118,55 @@ class TestSampledReplayOracle:
             for t in range(5):
                 a = random_dma(n, f"replay/{t}")
                 verdicts.add(self.agree(a, samples, f"replay/{n}/{t}"))
+        assert verdicts == {True, False}
+
+
+    @pytest.mark.parametrize("samples", [500, 5000])
+    def test_reset_letter_merges_runs(self, samples):
+        # a and b are random, r sends every state to 0: spokes and cycles
+        # that read r merge whole blocks, and the random rows merge some
+        # of their states.  Most lassos read r, so 30 of them split no
+        # acceptor here.
+        rng = random.Random("replay/reset")
+        verdicts = set()
+        for i in range(15):
+            kind = ACCEPTANCE_KINDS[i % len(ACCEPTANCE_KINDS)]
+            ab = random_structure(rng, rng.randint(2, 6))
+            rows = tuple(row + (0,) for row in ab.delta)
+            s = TransitionStructure(Alphabet(("a", "b", "r")), ab.state_count, 0, rows)
+            a = validate(s, random_acceptance(rng, s, kind))
+            verdicts.add(self.agree(a, samples, f"replay/reset/{i}"))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("samples", [30, 500, 5000])
+    def test_permutations_never_merge(self, samples):
+        # every letter permutes the states, a in one cycle through all of
+        # them: no two runs ever meet
+        rng = random.Random("replay/permutation")
+        verdicts = set()
+        for i in range(15):
+            kind = ACCEPTANCE_KINDS[i % len(ACCEPTANCE_KINDS)]
+            n = rng.randint(3, 7)
+            order = rng.sample(range(n), n)
+            step_a = {order[j]: order[(j + 1) % n] for j in range(n)}
+            step_b = rng.sample(range(n), n)
+            rows = tuple((step_a[q], step_b[q]) for q in range(n))
+            s = TransitionStructure(Alphabet(("a", "b")), n, order[0], rows)
+            a = validate(s, random_acceptance(rng, s, kind))
+            verdicts.add(self.agree(a, samples, f"replay/permutation/{i}"))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("samples", [30, 500, 5000])
+    def test_transition_tables(self, samples):
+        # transition sets tell apart runs that visit the same states
+        rng = random.Random("replay/tmuller")
+        verdicts = set()
+        for i in range(10):
+            a = random_acceptor(rng, 6, kinds=("tmuller",))
+            verdicts.add(self.agree(a, samples, f"replay/tmuller/{i}"))
+        for n in range(3, 6):
+            a = convert(random_dma(n, f"replay/tmuller/{n}"), "tmuller")
+            verdicts.add(self.agree(a, samples, f"replay/tmuller/dma/{n}"))
         assert verdicts == {True, False}
 
 
