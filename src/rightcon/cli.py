@@ -13,7 +13,7 @@ from .loops import alternation_measure
 from .model import Acceptor, MullerStates
 from .oaf import format_lasso, parse_lasso, parse_oaf, print_oaf
 from .ops import combine, complement, equivalent
-from .profiles import is_non_counting, is_respective
+from .profiles import _is_non_counting, _is_respective
 from .semantics import accepts
 
 
@@ -50,8 +50,8 @@ def _cmd_member(args):
 def _cmd_classify(args):
     acceptor = _read(args.file)
     c = classify(acceptor)
-    respective, r_witness = is_respective(acceptor)
-    noncounting, n_witness = is_non_counting(acceptor)
+    respective, r_witness = _is_respective(acceptor, c.quotient)
+    noncounting, n_witness = _is_non_counting(acceptor, c.quotient)
     print(f"index={c.index}")
     print(f"trivial={_bool(c.trivial)}")
     for flag in ("weak", "db", "dc", "IT", "IM", "IP", "IB", "IC"):

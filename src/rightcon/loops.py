@@ -93,12 +93,6 @@ def _loopable_scc(succ, pred, v: int, mask: int) -> int:
     return comp if comp != 1 << v or (1 << v, v) in succ[v] else 0
 
 
-def is_loopable(structure: TransitionStructure, states: frozenset[int]) -> bool:
-    """Is `states` loopable: strongly connected, with a self-loop if a singleton?"""
-    mask = sum(1 << q for q in states)
-    return mask != 0 and _loopable_scc(*_state_graph(structure), min(states), mask) == mask
-
-
 def loopable_state_sets(
     structure: TransitionStructure, capacity: int = DEFAULT_CAPACITY
 ) -> list[tuple[frozenset[int], frozenset[Transition]]]:

@@ -91,9 +91,6 @@ class TransitionStructure:
     def reachable_states(self) -> frozenset[int]:
         return frozenset(bfs_order(self.initial, self.delta.__getitem__))
 
-    def reroot(self, initial: int) -> "TransitionStructure":
-        return TransitionStructure(self.alphabet, self.state_count, initial, self.delta)
-
 
 def make_structure(
     alphabet: Alphabet,

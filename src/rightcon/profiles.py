@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .congruence import rightcon_quotient, shortest_word_to
+from .congruence import Quotient, rightcon_quotient, shortest_word_to
 from .errors import CapacityExceeded
 from .graph import bfs_order
 from .model import Acceptor, LassoWord
@@ -155,11 +156,6 @@ def omega_accept(acceptor: Acceptor, s: Profile, t: Profile, from_state: int) ->
     return _OmegaVerdicts(acceptor.acceptance, t)[s.targets[from_state]]
 
 
-def _cycle(monoid: ProfileMonoid, e: Profile) -> tuple[int, ...]:
-    """The representative of e as symbol indices."""
-    return tuple(map(monoid.acceptor.alphabet.index, e.representative))
-
-
 def _settles(step, c: int) -> bool:
     """Does the orbit c, step[c], step[step[c]], ... of a class map reach a
     fixed point?  Walks until a class repeats and asks whether that class
@@ -179,7 +175,11 @@ def is_respective(acceptor: Acceptor):
     first failure ends the closure.  The verdicts of rep(e)^omega come from
     e's tables, and the orbit of [x] under rep(e) is that of the class map
     c -> [e.targets[q]] for any q in c."""
-    quotient = rightcon_quotient(acceptor)
+    return _is_respective(acceptor, rightcon_quotient(acceptor))
+
+
+def _is_respective(acceptor: Acceptor, quotient: Quotient):
+    """`is_respective` on the right-congruence quotient of acceptor."""
     proj = quotient.projection
     members = [min(c) for c in quotient.classes]
     acceptance = acceptor.acceptance
@@ -209,33 +209,31 @@ def respective_pair_check(acceptor: Acceptor, x, u) -> bool:
     return _settles([qs.run(c, u) for c in range(qs.state_count)], start)
 
 
-def _times(monoid: ProfileMonoid, i: int, word) -> int:
-    """Index of elements[i] times the profile of word, read off `right`."""
-    symbol_index = monoid.acceptor.alphabet.index
-    for sym in word:
-        i = monoid.right[i][symbol_index(sym)]
+def _times(right, i: int, word) -> int:
+    """Index of element i times the profile of word (symbol indices)."""
+    for a in word:
+        i = right[i][a]
     return i
 
 
-def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
+def _syntactic_classes(acceptor: Acceptor, proj: dict, elements, letters, right):
     """Two-context congruence classes over the monoid elements.
 
     Start from a coloring by (linear-context signature, cycle acceptance
     from every reachable state), where the linear context is read through
     the quotient projection `proj`, and refine to a two-sided congruence
-    under the letters.
+    under the letters, given as a `ProfileMonoid`'s tables.
     """
-    acceptance = monoid.acceptor.acceptance
+    acceptance = acceptor.acceptance
+    symbol_index = acceptor.alphabet.index
     reachable = sorted(proj)
-    els = monoid.elements
-    n_el = len(els)
+    n_el = len(elements)
 
     # letter multiplication tables over elements
-    right = monoid.right
-    left = [[_times(monoid, g, e.representative) for g in monoid.letters] for e in els]
+    left = [[_times(right, g, map(symbol_index, e.representative)) for g in letters] for e in elements]
 
     def base_color(i):
-        e = els[i]
+        e = elements[i]
         lin = tuple(proj[e.targets[p]] for p in reachable)
         # acceptance of p . e^omega for every reachable p
         verdicts = _OmegaVerdicts(acceptance, e)
@@ -265,34 +263,99 @@ def _syntactic_classes(monoid: ProfileMonoid, proj: dict):
         cls = new
 
 
+def _cycles(targets):
+    """Yield each cycle of the map q -> targets[q] as a list of its states."""
+    seen = set()
+    for q in range(len(targets)):
+        walk = []
+        while q not in seen:
+            seen.add(q)
+            walk.append(q)
+            q = targets[q]
+        if q in walk:
+            yield walk[walk.index(q):]
+
+
+def _aperiodic(e: Profile) -> bool:
+    """Do e's powers reach a fixed point, e^m = e^{m+1}?  A join only grows
+    a key, so they do exactly when every cycle of e.targets is a fixed point."""
+    return all(len(c) == 1 for c in _cycles(e.targets))
+
+
+def _counts(e: Profile, proj: dict) -> bool:
+    """Do two of e's powers on their cycle differ in base colour?  All have
+    the omega-verdicts of rep(e)^omega, and they send a reachable state round
+    the whole cycle of e.targets it enters: so, does such a cycle meet two
+    classes of `proj`?"""
+    return any(len({proj[q] for q in c}) > 1 for c in _cycles(e.targets) if c[0] in proj)
+
+
 def is_non_counting(acceptor: Acceptor):
     """Insensitivity to pumping v^n vs v^{n+1} in every context.
 
     Decided as aperiodicity of the two-context quotient of the profile
-    monoid, whose state classes are those of the right-congruence quotient.
-    Returns (verdict, witness or None).  On "counting" the witness
-    is a concrete (u, v, w-lasso, n) where u.v^n.w and u.v^{n+1}.w differ
-    in membership, built for the shortest v whose powers cycle in
-    the quotient.  It pumps a finite prefix only, so it is None when v
-    counts only inside the periodic part, as in u.(v^n.w)^omega.
+    monoid, whose state classes are those of the right-congruence quotient:
+    v is the representative of the shortlex-first element whose powers
+    cycle through several classes.  Returns (verdict, witness or None).  On
+    "counting" the witness is a concrete (u, v, w-lasso, n) where u.v^n.w
+    and u.v^{n+1}.w differ in membership.  It pumps a finite prefix only,
+    so it is None when v counts only inside the periodic part, as in
+    u.(v^n.w)^omega.
+
+    The closure is streamed and each element settled from its own tables:
+    an `_aperiodic` element's powers lie in one class, and those of an
+    element that `_counts` do not, as refinement only splits base colours.
+    Within one representative length the closure follows alphabet-index
+    order, not shortlex order, so each length is finished and sorted
+    first.  The first element that is not aperiodic answers "counting" if
+    it counts; if every element is aperiodic the answer is non-counting.
+    Otherwise the closure is drained and the classes of the whole monoid
+    decide (`_counting_by_classes`): aperiodicity is PSPACE-complete, so no
+    such rules settle every input.
     """
-    proj = rightcon_quotient(acceptor).projection
-    monoid = profile_monoid(acceptor)
-    cls = _syntactic_classes(monoid, proj)
-    els = monoid.elements
+    return _is_non_counting(acceptor, rightcon_quotient(acceptor))
+
+
+def _is_non_counting(acceptor: Acceptor, quotient: Quotient):
+    """`is_non_counting` on the right-congruence quotient of acceptor."""
+    proj = quotient.projection
+    elements: list[Profile] = []
+    letters: list[int] = []
+    right: list[list[int]] = []
+    stream = _closure(acceptor, MONOID_CAPACITY, {}, letters, right)
+    levels = groupby(stream, key=lambda e: len(e.representative))
+    for _, level in levels:
+        level = list(level)
+        elements += level
+        for e in sorted(level, key=lambda f: f.representative):
+            if _aperiodic(e):
+                continue
+            if _counts(e, proj):
+                return False, _counting_witness(acceptor, e.representative, proj)
+            for _, rest in levels:
+                elements += rest
+            return _counting_by_classes(acceptor, proj, elements, letters, right)
+    return True, None
+
+
+def _counting_by_classes(acceptor: Acceptor, proj: dict, elements, letters, right):
+    """`is_non_counting` read from the syntactic classes of the whole
+    monoid, given by its tables `elements`, `letters` and `right`."""
+    cls = _syntactic_classes(acceptor, proj, elements, letters, right)
+    symbol_index = acceptor.alphabet.index
 
     def cls_power_periodic(i):
         # the powers of element i are the right table's run on its
         # representative; it counts when their cycle spans several classes
-        u = _cycle(monoid, els[i])
-        path, entry = _walk(monoid.right, i, u, ())
+        u = tuple(map(symbol_index, elements[i].representative))
+        path, entry = _walk(right, i, u, ())
         return len({cls[j] for j in path[entry * len(u)::len(u)]}) > 1
 
-    by_word = sorted(range(len(els)), key=lambda i: (len(els[i].representative), els[i].representative))
+    by_word = sorted(range(len(elements)), key=lambda i: (len(elements[i].representative), elements[i].representative))
     v_idx = next((i for i in by_word if cls_power_periodic(i)), None)
     if v_idx is None:
         return True, None
-    return False, _counting_witness(acceptor, els[v_idx].representative, proj)
+    return False, _counting_witness(acceptor, elements[v_idx].representative, proj)
 
 
 def _counting_witness(acceptor: Acceptor, v, proj: dict):

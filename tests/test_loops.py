@@ -19,7 +19,7 @@ from rightcon import (
     weak_to_cobuchi,
 )
 from rightcon.errors import CapacityExceeded, NotWeak
-from rightcon.loops import is_loopable, loopable_state_sets, loopable_transition_sets
+from rightcon.loops import _loopable_scc, _state_graph, loopable_state_sets, loopable_transition_sets
 from rightcon.model import Alphabet, make_structure, muller, validate
 from rightcon.ops import combine
 
@@ -146,10 +146,13 @@ class TestLoopTables:
         rng = random.Random("loops/is-loopable")
         for i in range(200):
             structure = random_structure(rng, rng.randint(1, 8), AB if i % 2 else Alphabet(("a", "b", "c")))
+            succ, pred = _state_graph(structure)
             for _ in range(10):
                 states = frozenset(q for q in range(structure.state_count) if rng.random() < 0.5)
                 if states:
-                    assert is_loopable(structure, states) == naive_strongly_connected(structure, states), (i, states)
+                    mask = sum(1 << q for q in states)
+                    loopable = _loopable_scc(succ, pred, min(states), mask) == mask
+                    assert loopable == naive_strongly_connected(structure, states), (i, states)
 
     def test_transition_sets_of_chosen_state_sets(self):
         structure = fixture("fig2_B").structure

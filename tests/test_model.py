@@ -82,7 +82,6 @@ class TestStructure:
                        (2, "a"): 2, (2, "b"): 2}
         )
         assert s.reachable_states() == frozenset({0})
-        assert s.reroot(1).reachable_states() == frozenset({0, 1, 2})
 
     def test_incomplete_delta_rejected(self):
         with pytest.raises(IncompleteTransition):

@@ -1,5 +1,7 @@
 """Text format round-trips and the command-line interface."""
 
+import sys
+
 import pytest
 
 from rightcon import (
@@ -219,13 +221,30 @@ class TestCli:
     def test_capacity_exceeded_exit_4(self, capsys, monkeypatch, fig3_path):
         import rightcon.cli
 
-        def exceed(acceptor):
+        def exceed(acceptor, quotient):
             raise CapacityExceeded("profile monoid", 1)
 
-        monkeypatch.setattr(rightcon.cli, "is_respective", exceed)
+        monkeypatch.setattr(rightcon.cli, "_is_respective", exceed)
         code, out = self.run(capsys, "classify", fig3_path)
         assert code == 4
         assert out.err.startswith("error:") and "profile monoid" in out.err
+
+    def test_classify_computes_the_quotient_once(self, capsys, monkeypatch, fig3_path):
+        import rightcon.congruence
+
+        original = rightcon.congruence.rightcon_quotient
+        calls = []
+
+        def counted(acceptor):
+            calls.append(acceptor)
+            return original(acceptor)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("rightcon")]:
+            if getattr(module, "rightcon_quotient", None) is original:
+                monkeypatch.setattr(module, "rightcon_quotient", counted)
+        code, _ = self.run(capsys, "classify", fig3_path)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_classify_conflict_witness(self, capsys, tmp_path):
         p = tmp_path / "fgaxa.oaf"

@@ -18,9 +18,20 @@ from rightcon import (
     profile_monoid,
     random_dma,
     respective_pair_check,
+    rightcon_quotient,
 )
 from rightcon.errors import CapacityExceeded
-from rightcon.profiles import MONOID_CAPACITY, _closure, _OmegaVerdicts
+from rightcon.model import Alphabet
+from rightcon.profiles import (
+    MONOID_CAPACITY,
+    _aperiodic,
+    _closure,
+    _counting_by_classes,
+    _counts,
+    _OmegaVerdicts,
+    _syntactic_classes,
+)
+from rightcon.semantics import _walk
 
 from helpers import (
     ACCEPTANCE_KINDS,
@@ -74,6 +85,14 @@ def _visited_sets(rng, a, draws):
         trans_pools += sorted(a.acceptance.table, key=sorted)
     for _ in range(draws):
         yield _subset(rng, rng.choice(state_pools)), _subset(rng, rng.choice(trans_pools))
+
+
+def _power_cycle(m, i):
+    """Indices of the powers of elements[i] on their cycle: the right
+    table's run on its representative, read once per power."""
+    u = tuple(map(m.acceptor.alphabet.index, m.elements[i].representative))
+    path, entry = _walk(m.right, i, u, ())
+    return set(path[entry * len(u)::len(u)])
 
 
 def _small_inputs(per_kind=6):
@@ -352,6 +371,56 @@ class TestNonCounting:
             a = random_dma(4, seed)
             assert is_non_counting(a) == (False, None), seed
             assert prefix_pumping_flip(a) is None, seed
+
+    def test_streamed_answer_matches_the_whole_monoid(self):
+        # the rules settle elements in shortlex order of the symbols; over
+        # ("c", "b", "a") that order is not the closure's alphabet-index order
+        rng = random.Random("profiles/noncounting/cba")
+        inputs = _small_inputs(per_kind=12)
+        inputs += [(f"{n}/nc/{i}", random_dma(n, f"nc/{i}")) for n in (3, 4) for i in range(60)]
+        inputs += [(f"cba/{i}", random_acceptor(rng, max_states=4, alphabet=Alphabet(("c", "b", "a")))) for i in range(30)]
+        for name, a in inputs:
+            m = profile_monoid(a)
+            proj = rightcon_quotient(a).projection
+            assert is_non_counting(a) == _counting_by_classes(a, proj, m.elements, m.letters, m.right), name
+
+    def test_rules_match_their_definitions(self):
+        # aperiodic: the powers reach a fixed point; counts: two powers on
+        # the cycle differ in base colour, and so in syntactic class
+        seen = set()
+        for name, a in _small_inputs():
+            m = profile_monoid(a)
+            proj = rightcon_quotient(a).projection
+            reachable = sorted(proj)
+            cls = _syntactic_classes(a, proj, m.elements, m.letters, m.right)
+
+            def base_colour(f):
+                verdicts = _OmegaVerdicts(a.acceptance, f)
+                return tuple(proj[f.targets[p]] for p in reachable), tuple(verdicts[p] for p in reachable)
+
+            for i, e in enumerate(m.elements):
+                cycle = _power_cycle(m, i)
+                aperiodic, counts = _aperiodic(e), _counts(e, proj)
+                assert aperiodic == (len(cycle) == 1), (name, i)
+                assert counts == (len({base_colour(m.elements[j]) for j in cycle}) > 1), (name, i)
+                if counts:
+                    assert len({cls[j] for j in cycle}) > 1, (name, i)
+                seen.add((aperiodic, counts))
+        # every combination the rules allow occurs
+        assert seen == {(True, False), (False, True), (False, False)}
+
+    def test_answers_before_the_monoid_exceeds_capacity(self):
+        # the whole monoid of each of these exceeds MONOID_CAPACITY
+        inputs = [random_dma(8, f"dump/{i}") for i in range(3)]
+        inputs.append(convert(random_dma(5, "c/0"), "tmuller"))
+        for a in inputs:
+            with pytest.raises(CapacityExceeded):
+                profile_monoid(a, capacity=5000)
+            got, (u, v, w, n) = is_non_counting(a)
+            assert not got
+            before = LassoWord(tuple(u) + tuple(v) * n + w.spoke, w.cycle)
+            after = LassoWord(tuple(u) + tuple(v) * (n + 1) + w.spoke, w.cycle)
+            assert naive_accepts(a, before) != naive_accepts(a, after), (u, v, w, n)
 
     def test_noncounting_implies_respective_on_fixtures(self):
         for name, a in all_fixtures():
