@@ -50,6 +50,9 @@ def _cmd_member(args):
 def _cmd_classify(args):
     acceptor = _read(args.file)
     c = classify(acceptor)
+    # the IT certificate is built on its first read: read every certificate
+    # now, so that a CapacityExceeded (exit 4) comes before any output
+    certificates = dict(c.certificates.items())
     respective, r_witness = _is_respective(acceptor, c.quotient)
     noncounting, n_witness = _is_non_counting(acceptor, c.quotient)
     print(f"index={c.index}")
@@ -74,7 +77,7 @@ def _cmd_classify(args):
             )
             print(f"witness_{flag}={ce[0]} {detail}".rstrip())
     for flag in ("IT", "IM", "IP", "IB", "IC"):
-        cert = c.certificates.get(flag)
+        cert = certificates.get(flag)
         if cert is not None:
             print(f"cert_{flag}={_describe_acceptance(cert)}")
     if r_witness is not None:
@@ -111,6 +114,7 @@ def _describe_acceptance(acc) -> str:
 def _cmd_quotient(args):
     acceptor = _read(args.file)
     c = classify(acceptor)
+    # the IT certificate is built only when IM fails
     cert = c.certificates.get("IM") or c.certificates.get("IT")
     faithful = cert is not None
     acceptance = cert if faithful else MullerStates(frozenset())

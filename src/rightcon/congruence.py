@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -198,12 +199,52 @@ def powerset(
     return TransitionStructure(alphabet, len(order), 0, rows)
 
 
+class Certificates(Mapping):
+    """The certificates of the flags that hold, by flag; read only.
+
+    A value given as a function is called on the first read of its flag,
+    and the result kept.  Membership, length and iteration call nothing, so
+    `"IT" in certificates` answers whether IT holds without building its
+    certificate.  A build that raises raises again on the next read.
+    """
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, flag):
+        value = self._entries[flag]
+        if callable(value):
+            value = self._entries[flag] = value()
+        return value
+
+    def __contains__(self, flag):
+        return flag in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class Classification:
+    """What `classify` found.
+
+    `certificates` maps each flag that holds among IT, IM, IP, IB and IC to
+    an acceptance condition on `quotient.structure` recognizing the input's
+    language; `counterexamples` maps each flag that fails to its evidence.
+    The IT certificate of a state-based input is built on its first read and
+    may raise `CapacityExceeded` there.
+    """
+
     index: int
     trivial: bool
     flags: dict
-    certificates: dict
+    certificates: Certificates
     counterexamples: dict
     quotient: Quotient
 
@@ -263,8 +304,28 @@ def _parity_certificate(
     )
 
 
+def _verdict_groups(acc, key_fn, sets) -> dict:
+    """The state sets of `sets` by key, then by verdict."""
+    groups: dict = {}
+    for s, t in sets:
+        groups.setdefault(key_fn(s, t), {}).setdefault(acc.accepts_loop(s, t), []).append(s)
+    return groups
+
+
 def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classification:
-    """Index, triviality, and the informative-class flags with evidence."""
+    """Index, triviality, and the informative-class flags with evidence.
+
+    IM groups the loop sets by the quotient image of their states.  For a
+    state-based acceptance IT is then decided on the transition sets of the
+    IM-conflicting groups alone: the verdict reads the state set only, and
+    transition sets with equal quotient images have equal state images, so
+    every IT conflict, and the least conflicting image with its least
+    transition sets, lies in such a group.  When IM holds no transition set
+    is listed, and the IT certificate is built on its first read from the
+    groups holding an accepting state set.  A transition-table acceptance
+    lists every transition set.  Every listing, the deferred one too, raises
+    `CapacityExceeded` past `capacity` sets.
+    """
     quotient = rightcon_quotient(acceptor)
     proj = quotient.projection
     structure = acceptor.structure
@@ -276,32 +337,31 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     def s_key(s, t):
         return frozenset(proj[q] for q in s)
 
+    def members(groups) -> list:
+        return [s for g in groups for sets in g.values() for s in sets]
+
     ssets = loopable_state_sets(structure, capacity)
-    if isinstance(acc, MullerTransitions):
-        expand = [s for s, _ in ssets]
-    else:
-        # A state-based verdict reads the state set alone, and transition
-        # sets with equal quotient images have equal state images.  So an IT
-        # conflict lies inside an IM-conflicting group, the IT certificate
-        # lists only accepting sets, and a group of rejecting state sets
-        # cannot change IT: only groups holding an accepting set are expanded.
-        wanted = {s_key(s, t) for s, t in ssets if acc.accepts_loop(s, t)}
-        expand = [s for s, t in ssets if s_key(s, t) in wanted]
-    tsets = loopable_transition_sets(structure, capacity, expand)
+    by_transitions = isinstance(acc, MullerTransitions)
     # the loop sets a verdict is read from: transition sets for a
     # transition table, state sets for every other kind
-    loops = tsets if isinstance(acc, MullerTransitions) else ssets
+    loops = ssets
+    if by_transitions:
+        loops = loopable_transition_sets(structure, capacity, [s for s, _ in ssets])
+    im_groups = _verdict_groups(acc, s_key, loops)
+    if by_transitions:
+        tsets = loops
+    else:
+        mixed = members(g for g in im_groups.values() if len(g) > 1)
+        tsets = loopable_transition_sets(structure, capacity, mixed)
+    it_groups = _verdict_groups(acc, t_key, tsets)
     flags: dict = {}
     certificates: dict = {}
     counterexamples: dict = {}
 
-    def fingerprint_consistent(key_fn, flag: str, sets):
-        groups: dict = {}
-        for s, t in sets:
-            groups.setdefault(key_fn(s, t), set()).add(acc.accepts_loop(s, t))
-        conflicts = [k for k, verdicts in groups.items() if len(verdicts) > 1]
+    def consistent(groups, key_fn, flag: str) -> bool:
+        conflicts = [k for k, g in groups.items() if len(g) > 1]
         if not conflicts:
-            return True, groups
+            return True
         # the least conflicting key and its least transition sets, so that
         # the counterexample does not depend on the enumeration order; every
         # transition set of a conflicting group is in tsets
@@ -315,20 +375,30 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         pos = _loop_lasso(structure, *least[True])
         neg = _loop_lasso(structure, *least[False])
         counterexamples[flag] = ("conflict", pos, neg)
-        return False, groups
+        return False
 
-    it_ok, it_groups = fingerprint_consistent(t_key, "IT", tsets)
-    flags["IT"] = it_ok
-    if it_ok:
+    flags["IT"] = consistent(it_groups, t_key, "IT")
+    if flags["IT"] and by_transitions:
         certificates["IT"] = MullerTransitions(
-            frozenset(k for k, v in it_groups.items() if True in v)
+            frozenset(k for k, g in it_groups.items() if True in g)
+        )
+    elif flags["IT"]:
+        # the images of the accepting transition sets, listed on the first
+        # read from the groups holding an accepting state set
+        wanted = members(g for g in im_groups.values() if True in g)
+        certificates["IT"] = lambda: MullerTransitions(
+            frozenset(
+                t_key(s, t)
+                for s, t in loopable_transition_sets(structure, capacity, wanted)
+                if acc.accepts_loop(s, t)
+            )
         )
 
-    im_ok, im_groups = fingerprint_consistent(s_key, "IM", loops)
+    im_ok = consistent(im_groups, s_key, "IM")
     flags["IM"] = im_ok
     table: dict = {}
     if im_ok:
-        table = {k: (True in v) for k, v in im_groups.items()}
+        table = {k: (True in g) for k, g in im_groups.items()}
         certificates["IM"] = MullerStates(
             frozenset(k for k, v in table.items() if v)
         )
@@ -377,7 +447,9 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     flags.update(_chain_flags(loop_table(acc, loops)))
 
     n = quotient.structure.state_count
-    return Classification(n, n == 1, flags, certificates, counterexamples, quotient)
+    return Classification(
+        n, n == 1, flags, Certificates(certificates), counterexamples, quotient
+    )
 
 
 def trivial_decomposition(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY):

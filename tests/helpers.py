@@ -352,11 +352,20 @@ def forced_verdicts(acceptor, quotient):
 # conditions against the forced verdicts above.
 
 
-def oracle_IT(acceptor, quotient):
+def oracle_IT_certificate(acceptor, quotient):
+    """The transition table on the quotient that the forced verdicts allow:
+    every projected transition set whose lasso is accepted.  None when two
+    sets with one projection get different verdicts, i.e. when IT fails."""
     by_trans = {}
     for _, t, v in forced_verdicts(acceptor, quotient):
         by_trans.setdefault(t, set()).add(v)
-    return all(len(vs) == 1 for vs in by_trans.values())
+    if any(len(vs) > 1 for vs in by_trans.values()):
+        return None
+    return MullerTransitions(frozenset(t for t, vs in by_trans.items() if True in vs))
+
+
+def oracle_IT(acceptor, quotient):
+    return oracle_IT_certificate(acceptor, quotient) is not None
 
 
 def oracle_IM(acceptor, quotient):

@@ -38,6 +38,7 @@ from helpers import (
     all_fixtures,
     forced_verdicts,
     naive_accepts,
+    oracle_IT_certificate,
     random_acceptor,
     random_lasso,
     shortlex_first_words,
@@ -290,11 +291,60 @@ class TestClassify:
         assert any("IP" in ces["certificates"] for ces in outs[0].values())
 
     def test_seven_to_ten_states_stay_within_capacity(self):
-        # state sets whose quotient-image group holds no accepting set are
-        # never expanded into transition sets
+        # only the state sets of IM-conflicting groups are expanded into
+        # transition sets to decide IT, and these inputs have none
         for n in (7, 10):
             c = classify(random_dma(n, "c/0"), capacity=10_000)
             assert c.index == n
+
+    def test_it_certificate_matches_the_forced_verdicts(self):
+        # the IT certificate, built on its first read, against the table
+        # that the lasso verdicts of every loopable transition set allow
+        rng = random.Random("classify/it-certificate")
+        inputs = list(all_fixtures())
+        inputs += [(f"dma/{n}/c/{i}", random_dma(n, f"c/{i}")) for n in (3, 4) for i in range(20)]
+        inputs += [
+            (f"{kind}/{i}", random_acceptor(rng, max_states=4, kinds=(kind,)))
+            for kind in ACCEPTANCE_KINDS
+            for i in range(12)
+        ]
+        for tag, a in inputs:
+            c = classify(a)
+            assert c.certificates.get("IT") == oracle_IT_certificate(a, c.quotient), tag
+
+    def test_it_is_decided_without_listing_transition_sets(self, monkeypatch):
+        import rightcon.congruence
+
+        original = rightcon.congruence.loopable_transition_sets
+        listed = []
+
+        def counted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            listed.append(len(out))
+            return out
+
+        monkeypatch.setattr(rightcon.congruence, "loopable_transition_sets", counted)
+        c = classify(random_dma(5, "c/0"))
+        assert c.flags["IT"] and c.flags["IM"]
+        assert "IT" not in c.counterexamples and "IM" not in c.counterexamples
+        assert "IT" in c.certificates and list(c.certificates) == ["IT", "IM"]
+        assert sum(listed) == 0
+        cert = c.certificates["IT"]
+        built = sum(listed)
+        assert built > 0
+        # built once, then kept
+        assert c.certificates.get("IT") is cert and sum(listed) == built
+        assert c.certificates == dict(c.certificates.items())
+        assert repr(c.certificates) == repr(dict(c.certificates.items()))
+
+    def test_it_certificate_read_past_capacity_raises(self):
+        # its own quotient: IM holds, so deciding IT lists nothing, while
+        # the IT certificate lists 547,200 transition sets
+        c = classify(random_dma(8, "c/2"), capacity=10_000)
+        assert c.flags["IT"] and c.flags["IM"] and "IT" in c.certificates
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(CapacityExceeded):
+                c.certificates["IT"]
 
     def test_random_certificates_and_conflicts(self):
         rng = random.Random(5)

@@ -229,6 +229,19 @@ class TestCli:
         assert code == 4
         assert out.err.startswith("error:") and "profile monoid" in out.err
 
+    def test_classify_it_certificate_past_capacity_exit_4(self, capsys, monkeypatch, tmp_path):
+        # the IT certificate is built when it is first read; the command
+        # reads it before printing, so stdout stays empty
+        import rightcon.cli
+        from rightcon import classify, random_dma
+
+        p = tmp_path / "dma8.oaf"
+        p.write_text(print_oaf(random_dma(8, "c/2")))
+        monkeypatch.setattr(rightcon.cli, "classify", lambda a: classify(a, capacity=10_000))
+        code, out = self.run(capsys, "classify", str(p))
+        assert code == 4 and out.out == ""
+        assert out.err.startswith("error:") and "loopable transition sets" in out.err
+
     def test_classify_computes_the_quotient_once(self, capsys, monkeypatch, fig3_path):
         import rightcon.congruence
 
