@@ -305,10 +305,11 @@ def _parity_certificate(
 
 
 def _verdict_groups(acc, key_fn, sets) -> dict:
-    """The state sets of `sets` by key, then by verdict."""
+    """The (state set, transition set) pairs of `sets` by key, then by
+    verdict, in the order of `sets`."""
     groups: dict = {}
-    for s, t in sets:
-        groups.setdefault(key_fn(s, t), {}).setdefault(acc.accepts_loop(s, t), []).append(s)
+    for pair in sets:
+        groups.setdefault(key_fn(*pair), {}).setdefault(acc.accepts_loop(*pair), []).append(pair)
     return groups
 
 
@@ -338,7 +339,7 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         return frozenset(proj[q] for q in s)
 
     def members(groups) -> list:
-        return [s for g in groups for sets in g.values() for s in sets]
+        return [s for g in groups for pairs in g.values() for s, _ in pairs]
 
     ssets = loopable_state_sets(structure, capacity)
     by_transitions = isinstance(acc, MullerTransitions)
@@ -358,26 +359,30 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     certificates: dict = {}
     counterexamples: dict = {}
 
-    def consistent(groups, key_fn, flag: str) -> bool:
+    def consistent(groups, flag: str) -> bool:
         conflicts = [k for k, g in groups.items() if len(g) > 1]
         if not conflicts:
             return True
         # the least conflicting key and its least transition sets, so that
-        # the counterexample does not depend on the enumeration order; every
-        # transition set of a conflicting group is in tsets
-        key = min(conflicts, key=sorted)
-        least: dict = {}
-        for s, t in tsets:
-            if key_fn(s, t) == key:
-                v = acc.accepts_loop(s, t)
-                if v not in least or _size_then_sorted(t) < _size_then_sorted(least[v][1]):
-                    least[v] = (s, t)
-        pos = _loop_lasso(structure, *least[True])
-        neg = _loop_lasso(structure, *least[False])
+        # the counterexample does not depend on the enumeration order
+        group = groups[min(conflicts, key=sorted)]
+        if groups is im_groups and not by_transitions:
+            # state sets were grouped, with all their internal transitions;
+            # the transition sets of a conflicting group are in tsets, and
+            # each has the verdict of its state set
+            verdicts = {s: v for v, pairs in group.items() for s, _ in pairs}
+            group = {}
+            for s, t in tsets:
+                if s in verdicts:
+                    group.setdefault(verdicts[s], []).append((s, t))
+        pos, neg = (
+            _loop_lasso(structure, *min(group[v], key=lambda pair: _size_then_sorted(pair[1])))
+            for v in (True, False)
+        )
         counterexamples[flag] = ("conflict", pos, neg)
         return False
 
-    flags["IT"] = consistent(it_groups, t_key, "IT")
+    flags["IT"] = consistent(it_groups, "IT")
     if flags["IT"] and by_transitions:
         certificates["IT"] = MullerTransitions(
             frozenset(k for k, g in it_groups.items() if True in g)
@@ -394,7 +399,7 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             )
         )
 
-    im_ok = consistent(im_groups, s_key, "IM")
+    im_ok = consistent(im_groups, "IM")
     flags["IM"] = im_ok
     table: dict = {}
     if im_ok:

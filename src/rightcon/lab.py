@@ -15,6 +15,11 @@ _RETRY_BOUND = 100000
 
 _SYMBOL_POOL = "abcdefghijklmnopqrstuvwxyz"
 
+# The replay keeps the verdict table of a cycle of at most this many symbols
+# for the rest of the trial: at most k + k^2 + k^3 + k^4 tables (120 at
+# k = 3) of at most n entries each, however many lassos are drawn.
+_KEPT_CYCLE_LEN = 4
+
 
 def random_dma(
     states: int,
@@ -30,6 +35,8 @@ def random_dma(
     """
     if states < 1:
         raise ValueError("states must be positive")
+    if not 1 <= alphabet_size <= len(_SYMBOL_POOL):
+        raise ValueError(f"alphabet_size must be in 1..{len(_SYMBOL_POOL)}, got {alphabet_size}")
     rng = random.Random(f"dma/{states}/{alphabet_size}/{accepting_sets}/{seed}")
     symbols = Alphabet(tuple(_SYMBOL_POOL[:alphabet_size]))
     for _ in range(_RETRY_BOUND):
@@ -135,13 +142,20 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
 
     Each step draws one lasso and splits every block of states that no
     earlier lasso told apart by their verdicts on it.  Only blocks of two or
-    more states are kept.  A block's states are grouped by the state the
-    spoke leads to, and those groups by where one reading of the cycle
-    leads from there: the run of cycle^omega from p and from f(p), where f
-    reads the cycle once, has the same infinity sets.  A block left in one
-    group cannot split, and no verdict is read for it.  Otherwise the
-    distinct states reached share one LoopVerdicts, so each boundary state
-    reads the cycle at most once more per lasso.
+    more states are kept.  A block of three or more states is grouped by
+    the state the spoke leads to, and those groups by where one reading of
+    the cycle leads from there: the run of cycle^omega from p and from
+    f(p), where f reads the cycle once, has the same infinity sets.  A
+    block left in one group cannot split.  A block of two states a, b is
+    kept as the pair index a·n + b, and the pair table, built when the
+    first pair appears, moves it with one lookup per symbol:
+    pd[i][a·n + b] = delta(a, i)·n + delta(b, i).  The diagonal a·n + a is
+    a multiple of n + 1, and a pair that lands on it after the spoke or
+    after one reading of the cycle cannot split.  The lasso's LoopVerdicts
+    is built only when some block's runs stay apart, and is then shared by
+    that lasso's blocks, so each boundary state reads the cycle at most
+    once more per lasso; the table of a cycle of at most _KEPT_CYCLE_LEN
+    symbols is kept for the later lassos that draw the same cycle.
 
     Equivalent states are never split, so if the exact partition is not
     discrete the answer is already False.  It is consulted once, after the
@@ -152,17 +166,54 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
     delta = structure.delta
     n = structure.state_count
     k = len(structure.alphabet)
+    diagonal = n + 1
     warmup = 1000
-    live = [list(range(n))] if n > 1 else []
+    blocks = [list(range(n))] if n > 2 else []
+    pairs = [1] if n == 2 else []  # the pair index of states 0 and 1
+    pd = None
+    memo: dict[tuple[int, ...], LoopVerdicts] = {}
+
+    def loop_verdicts(cycle):
+        if len(cycle) > _KEPT_CYCLE_LEN:
+            return LoopVerdicts(acceptor, cycle)
+        key = tuple(cycle)
+        table = memo.get(key)
+        if table is None:
+            table = memo[key] = LoopVerdicts(acceptor, cycle)
+        return table
+
     for step in range(samples):
-        if not live:
+        if not blocks and not pairs:
             return True
         if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
             return False
         spoke, cycle = _draw_lasso(rng, n, k)
-        verdicts = LoopVerdicts(acceptor, cycle)
+        verdicts = None
+        if pairs:
+            if pd is None:
+                pd = [
+                    [delta[a][i] * n + delta[b][i] for a in range(n) for b in range(n)]
+                    for i in range(k)
+                ]
+            kept = []
+            for x in pairs:
+                y = x
+                for i in spoke:
+                    y = pd[i][y]
+                if y % diagonal:
+                    for i in cycle:
+                        y = pd[i][y]
+                    if y % diagonal:
+                        if verdicts is None:
+                            verdicts = loop_verdicts(cycle)
+                        if verdicts[y // n] != verdicts[y % n]:
+                            continue
+                # the two runs meet after the spoke or after one reading of
+                # the cycle, or they stay apart with the same verdict
+                kept.append(x)
+            pairs = kept
         split = []
-        for block in live:
+        for block in blocks:
             ends: dict[int, list[int]] = {}
             for q in block:
                 p = q
@@ -176,25 +227,32 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
                         p = delta[p][i]
                     loops.setdefault(p, []).extend(merged)
                 if len(loops) > 1:
+                    if verdicts is None:
+                        verdicts = loop_verdicts(cycle)
                     accepted, rejected = [], []
                     for p, merged in loops.items():
                         (accepted if verdicts[p] else rejected).extend(merged)
-                    if len(accepted) > 1:
-                        split.append(accepted)
-                    if len(rejected) > 1:
-                        split.append(rejected)
+                    for part in (accepted, rejected):
+                        if len(part) > 2:
+                            split.append(part)
+                        elif len(part) == 2:
+                            pairs.append(part[0] * n + part[1])
                     continue
-            # the runs of all its states merge after the spoke or after one
-            # reading of the cycle, so they share their infinity sets
+            # the runs of all its states merge after the spoke or after
+            # one reading of the cycle, so they share their infinity sets
             split.append(block)
-        live = split
-    return not live
+        blocks = split
+    return not blocks and not pairs
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Count how often a random acceptor already is its own quotient."""
     if cfg.mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {cfg.mode!r}")
+    if cfg.trials_per_size < 1:
+        raise ValueError(f"trials_per_size must be positive, got {cfg.trials_per_size}")
+    if cfg.samples < 1:
+        raise ValueError(f"samples must be positive, got {cfg.samples}")
     rows = []
     for size in cfg.sizes:
         iso = 0

@@ -15,12 +15,14 @@ from rightcon import (
     run_experiment,
     validate,
 )
+import rightcon.lab
 from rightcon.lab import _sampled_distinguished
 from rightcon.graph import sccs
-from rightcon.model import MullerStates
+from rightcon.model import LassoWord, MullerStates
 
 from helpers import (
     ACCEPTANCE_KINDS,
+    naive_accepts,
     naive_sampled_distinguished,
     random_acceptance,
     random_acceptor,
@@ -120,6 +122,66 @@ class TestSampledReplayOracle:
                 verdicts.add(self.agree(a, samples, f"replay/{n}/{t}"))
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize(
+        "size, trial, samples, verdict",
+        [(5, 76, 3200, True), (6, 67, 2000, False), (6, 67, 2400, True), (7, 73, 2400, True), (8, 69, 2100, True)],
+    )
+    def test_pairs_live_after_warmup(self, size, trial, samples, verdict):
+        # criterion 5's draws: in each, a two-state block is live from the
+        # warm-up at step 1000 on for 1,000 or more lassos (2,136, 1,322,
+        # 1,382 and 1,095 of them) before a lasso splits it.  With 2000
+        # samples the pair of (6, 67) survives every lasso drawn.
+        a = random_dma(size, f"1/{size}/{trial}")
+        assert self.agree(a, samples, f"lasso/1/{size}/{trial}") is verdict
+
+    def test_no_verdicts_when_runs_merge(self, monkeypatch):
+        # every lasso's LoopVerdicts is recorded by the step that drew it;
+        # the live blocks are re-derived from naive verdicts on the same
+        # lassos, and a lasso on which every live block's runs meet after
+        # the spoke or after one reading of the cycle builds none
+        lassos, built = [], []
+        draw = rightcon.lab._draw_lasso
+
+        def recording_draw(rng, n, k):
+            lassos.append(draw(rng, n, k))
+            return lassos[-1]
+
+        class RecordingVerdicts(rightcon.lab.LoopVerdicts):
+            def __init__(self, acceptor, cycle):
+                super().__init__(acceptor, cycle)
+                built.append(len(lassos) - 1)
+
+        monkeypatch.setattr(rightcon.lab, "_draw_lasso", recording_draw)
+        monkeypatch.setattr(rightcon.lab, "LoopVerdicts", RecordingVerdicts)
+        merging = 0
+        for size, trial in ((5, 76), (6, 67), (8, 69)):
+            a = random_dma(size, f"1/{size}/{trial}")
+            lassos.clear()
+            built.clear()
+            _sampled_distinguished(a, 2000, random.Random(f"lasso/1/{size}/{trial}"))
+            assert len(built) == len(set(built)), "one LoopVerdicts per lasso at most"
+            delta = a.structure.delta
+            symbols = a.alphabet.symbols
+            blocks = [list(range(size))]
+            for step, (spoke, cycle) in enumerate(lassos):
+                meet = True
+                for block in blocks:
+                    ends = set(block)
+                    for i in spoke + cycle:
+                        ends = {delta[q][i] for q in ends}
+                    meet = meet and len(ends) == 1
+                if meet:
+                    merging += 1
+                    assert step not in built, (size, trial, step)
+                w = LassoWord(tuple(symbols[i] for i in spoke), tuple(symbols[i] for i in cycle))
+                blocks = [
+                    part
+                    for block in blocks
+                    for verdict in (True, False)
+                    if len(part := [q for q in block if naive_accepts(a, w, q) is verdict]) > 1
+                ]
+            assert built
+        assert merging > 1000
 
     @pytest.mark.parametrize("samples", [500, 5000])
     def test_reset_letter_merges_runs(self, samples):
@@ -174,6 +236,19 @@ class TestRunExperiment:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             run_experiment(ExperimentConfig(sizes=(3,), mode="guess"))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"trials_per_size": -3}, {"trials_per_size": 0}, {"samples": 0}, {"mode": "sampled", "samples": -5}],
+    )
+    def test_bad_counts(self, changes):
+        with pytest.raises(ValueError):
+            run_experiment(ExperimentConfig(sizes=(4,), **changes))
+
+    @pytest.mark.parametrize("alphabet_size", [0, 27, 30])
+    def test_alphabet_size_out_of_range(self, alphabet_size):
+        with pytest.raises(ValueError, match=r"1\.\.26"):
+            random_dma(4, 1, alphabet_size=alphabet_size)
 
     def test_deterministic_report(self):
         cfg = ExperimentConfig(sizes=(3, 4), trials_per_size=5, seed=12)
