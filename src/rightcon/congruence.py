@@ -12,7 +12,6 @@ from .graph import bfs_order, bfs_path
 from .loops import (
     DEFAULT_CAPACITY,
     _chain_flags,
-    loop_table,
     loopable_state_sets,
     loopable_transition_sets,
 )
@@ -205,7 +204,8 @@ class Certificates(Mapping):
     A value given as a function is called on the first read of its flag,
     and the result kept.  Membership, length and iteration call nothing, so
     `"IT" in certificates` answers whether IT holds without building its
-    certificate.  A build that raises raises again on the next read.
+    certificate; the repr shows a value not yet built as `<deferred>`.  A
+    build that raises raises again on the next read.
     """
 
     def __init__(self, entries: dict):
@@ -227,7 +227,9 @@ class Certificates(Mapping):
         return len(self._entries)
 
     def __repr__(self):
-        return repr(dict(self.items()))
+        # a value not yet built is shown as such, and not built
+        shown = (f"{k!r}: {'<deferred>' if callable(v) else repr(v)}" for k, v in self._entries.items())
+        return "{" + ", ".join(shown) + "}"
 
 
 @dataclass(frozen=True)
@@ -304,12 +306,12 @@ def _parity_certificate(
     )
 
 
-def _verdict_groups(acc, key_fn, sets) -> dict:
+def _verdict_groups(key_fn, sets, verdicts) -> dict:
     """The (state set, transition set) pairs of `sets` by key, then by
-    verdict, in the order of `sets`."""
+    their verdict in `verdicts`, in the order of `sets`."""
     groups: dict = {}
-    for pair in sets:
-        groups.setdefault(key_fn(*pair), {}).setdefault(acc.accepts_loop(*pair), []).append(pair)
+    for pair, verdict in zip(sets, verdicts):
+        groups.setdefault(key_fn(*pair), {}).setdefault(verdict, []).append(pair)
     return groups
 
 
@@ -343,18 +345,22 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
 
     ssets = loopable_state_sets(structure, capacity)
     by_transitions = isinstance(acc, MullerTransitions)
-    # the loop sets a verdict is read from: transition sets for a
-    # transition table, state sets for every other kind
+    # the loop sets a verdict is read from, each read once: transition sets
+    # for a transition table, state sets for every other kind
     loops = ssets
     if by_transitions:
         loops = loopable_transition_sets(structure, capacity, [s for s, _ in ssets])
-    im_groups = _verdict_groups(acc, s_key, loops)
+    verdicts = [acc.accepts_key(acc.loop_key(s, t)) for s, t in loops]
+    im_groups = _verdict_groups(s_key, loops, verdicts)
     if by_transitions:
-        tsets = loops
+        tsets, t_verdicts = loops, verdicts
     else:
+        # a state-based verdict reads the state set only
+        accepting = {s for (s, _), v in zip(loops, verdicts) if v}
         mixed = members(g for g in im_groups.values() if len(g) > 1)
         tsets = loopable_transition_sets(structure, capacity, mixed)
-    it_groups = _verdict_groups(acc, t_key, tsets)
+        t_verdicts = [s in accepting for s, _ in tsets]
+    it_groups = _verdict_groups(t_key, tsets, t_verdicts)
     flags: dict = {}
     certificates: dict = {}
     counterexamples: dict = {}
@@ -370,11 +376,8 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             # state sets were grouped, with all their internal transitions;
             # the transition sets of a conflicting group are in tsets, and
             # each has the verdict of its state set
-            verdicts = {s: v for v, pairs in group.items() for s, _ in pairs}
-            group = {}
-            for s, t in tsets:
-                if s in verdicts:
-                    group.setdefault(verdicts[s], []).append((s, t))
+            in_group = {s for pairs in group.values() for s, _ in pairs}
+            group = _verdict_groups(lambda s, t: s in in_group, tsets, t_verdicts)[True]
         pos, neg = (
             _loop_lasso(structure, *min(group[v], key=lambda pair: _size_then_sorted(pair[1])))
             for v in (True, False)
@@ -395,25 +398,18 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             frozenset(
                 t_key(s, t)
                 for s, t in loopable_transition_sets(structure, capacity, wanted)
-                if acc.accepts_loop(s, t)
+                if s in accepting
             )
         )
 
-    im_ok = consistent(im_groups, "IM")
-    flags["IM"] = im_ok
-    table: dict = {}
-    if im_ok:
-        table = {k: (True in g) for k, g in im_groups.items()}
-        certificates["IM"] = MullerStates(
-            frozenset(k for k, v in table.items() if v)
-        )
-
-    if not im_ok:
-        flags["IP"] = flags["IB"] = flags["IC"] = False
-        counterexamples.setdefault("IP", ("requires", "IM"))
-        counterexamples.setdefault("IB", ("requires", "IM"))
-        counterexamples.setdefault("IC", ("requires", "IM"))
+    flags["IM"] = consistent(im_groups, "IM")
+    if not flags["IM"]:
+        for flag in ("IP", "IB", "IC"):
+            flags[flag] = False
+            counterexamples[flag] = ("requires", "IM")
     else:
+        table = {k: (True in g) for k, g in im_groups.items()}
+        certificates["IM"] = MullerStates(frozenset(k for k, v in table.items() if v))
         # union-closure of each polarity family over the quotient loop table;
         # the least covered set is the counterexample, whatever the hash order
         ip_ok = True
@@ -445,11 +441,12 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             else:
                 counterexamples["IC"] = ("rejecting_loop_misses_core", f_circ)
         else:
-            flags["IB"] = flags["IC"] = False
-            counterexamples.setdefault("IB", ("requires", "IP"))
-            counterexamples.setdefault("IC", ("requires", "IP"))
+            for flag in ("IB", "IC"):
+                flags[flag] = False
+                counterexamples[flag] = ("requires", "IP")
 
-    flags.update(_chain_flags(loop_table(acc, loops)))
+    loop_keys = (t if by_transitions else s for s, t in loops)
+    flags.update(_chain_flags(list(zip(loop_keys, verdicts))))
 
     n = quotient.structure.state_count
     return Classification(

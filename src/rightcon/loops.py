@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import CapacityExceeded, NotWeak
 from .model import (
-    Acceptance,
     Acceptor,
     Buchi,
     CoBuchi,
@@ -190,55 +189,50 @@ def _spanning_masks(states: frozenset[int], edges: list[Transition]):
 
 
 def loopable_sets(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> LoopTable:
-    """Full loop table of an acceptor, keyed per its acceptance kind."""
-    if isinstance(acceptor.acceptance, MullerTransitions):
-        raw = loopable_transition_sets(acceptor.structure, capacity)
+    """Full loop table of an acceptor, keyed per its acceptance kind: by
+    transition set for a transition table, by state set otherwise."""
+    acc = acceptor.acceptance
+    if isinstance(acc, MullerTransitions):
+        keyed_by, raw = "transitions", loopable_transition_sets(acceptor.structure, capacity)
     else:
-        raw = loopable_state_sets(acceptor.structure, capacity)
-    return loop_table(acceptor.acceptance, raw)
-
-
-def loop_table(acc: Acceptance, raw) -> LoopTable:
-    """Loop table of `acc` over enumerated (states, transitions) pairs.
-
-    For state-based acceptance the table is keyed by state set, so `raw`
-    may also be the transition sets: their state sets are the loopable
-    state sets, and the verdict does not read the transitions.
-    """
-    keyed_by = "transitions" if isinstance(acc, MullerTransitions) else "states"
+        keyed_by, raw = "states", loopable_state_sets(acceptor.structure, capacity)
     entries = {}
     for states, trans in raw:
         key = trans if keyed_by == "transitions" else states
-        entries[key] = LoopEntry(states, trans, acc.accepts_loop(states, trans))
+        entries[key] = LoopEntry(states, trans, acc.accepts_key(acc.loop_key(states, trans)))
     return LoopTable(keyed_by, entries)
 
 
-def _chain_flags(table: LoopTable) -> dict[str, bool]:
-    """weak, db and dc of a loop table.
+def _chain_flags(loops) -> dict[str, bool]:
+    """weak, db and dc of loop sets given as (key, verdict) pairs.
 
     db: no superset of an accepting loopable set is rejecting; dc: no
     superset of a rejecting one is accepting; weak: both.  Only pairs of
     opposite verdicts can clear a flag, and each search stops at its first
     witness.
     """
-    accepting = [table.key_of(e) for e in table.entries.values() if e.accepting]
-    rejecting = [table.key_of(e) for e in table.entries.values() if not e.accepting]
+    accepting = [k for k, v in loops if v]
+    rejecting = [k for k, v in loops if not v]
     db = not any(a < r for a in accepting for r in rejecting)
     dc = not any(r < a for r in rejecting for a in accepting)
     return {"weak": db and dc, "db": db, "dc": dc}
 
 
+def _table_flags(table: LoopTable) -> dict[str, bool]:
+    return _chain_flags([(table.key_of(e), e.accepting) for e in table.entries.values()])
+
+
 def is_weak(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
-    return _chain_flags(loopable_sets(acceptor, capacity))["weak"]
+    return _table_flags(loopable_sets(acceptor, capacity))["weak"]
 
 
 def is_db(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
     """No superset of an accepting loopable set may be rejecting."""
-    return _chain_flags(loopable_sets(acceptor, capacity))["db"]
+    return _table_flags(loopable_sets(acceptor, capacity))["db"]
 
 
 def is_dc(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
-    return _chain_flags(loopable_sets(acceptor, capacity))["dc"]
+    return _table_flags(loopable_sets(acceptor, capacity))["dc"]
 
 
 @dataclass(frozen=True)
@@ -305,7 +299,7 @@ def alternation_measure(
 
 def _weak_union(acceptor: Acceptor, want_accepting: bool, capacity: int) -> frozenset[int]:
     table = loopable_sets(acceptor, capacity)
-    if not _chain_flags(table)["weak"]:
+    if not _table_flags(table)["weak"]:
         raise NotWeak("acceptance alternates along an inclusion chain")
     out: set[int] = set()
     for e in table.entries.values():

@@ -154,16 +154,11 @@ class Acceptance:
 
     kind: str
 
-    def accepts_loop(
-        self, states: frozenset[int], transitions: frozenset[Transition]
-    ) -> bool:
-        raise NotImplementedError
-
     def loop_key(self, states: frozenset[int], transitions: frozenset[Transition]):
-        """What accepts_loop can observe of nonempty visited sets: a hit bit
+        """What the verdict can observe of nonempty visited sets: a hit bit
         for Büchi and co-Büchi, the minimum colour for parity, the set itself
-        or TOP for Muller.  accepts_loop depends on the sets only through
-        it: accepts_key(loop_key(S, T)) == accepts_loop(S, T)."""
+        or TOP for Muller.  The verdict on infinity sets S and T is
+        accepts_key(loop_key(S, T)); a kind that reads only states ignores T."""
         raise NotImplementedError
 
     def join(self, a, b):
@@ -171,9 +166,11 @@ class Acceptance:
         raise NotImplementedError
 
     def accepts_key(self, key) -> bool:
-        """The verdict on infinity sets whose loop key is `key`.  The profile
-        monoid reads every ω-verdict this way, from the join of an element's
-        periodic keys, without the sets or the element's word."""
+        """The verdict on infinity sets whose loop key is `key`, the one rule
+        each kind states its acceptance by.  Every verdict is read this way:
+        on a lasso's or a loop set's own sets, and in the profile monoid on
+        the join of an element's periodic keys, without the sets or the
+        element's word."""
         raise NotImplementedError
 
     def referenced_states(self) -> set[int]:
@@ -187,9 +184,6 @@ class Acceptance:
 class Buchi(Acceptance):
     accepting: frozenset[int]
     kind = "buchi"
-
-    def accepts_loop(self, states, transitions):
-        return bool(states & self.accepting)
 
     def loop_key(self, states, transitions):
         return bool(states & self.accepting)
@@ -208,9 +202,6 @@ class Buchi(Acceptance):
 class CoBuchi(Acceptance):
     avoided: frozenset[int]
     kind = "cobuchi"
-
-    def accepts_loop(self, states, transitions):
-        return not (states & self.avoided)
 
     def loop_key(self, states, transitions):
         return bool(states & self.avoided)
@@ -232,9 +223,6 @@ class Parity(Acceptance):
     colors: tuple[int, ...]
     kind = "parity"
 
-    def accepts_loop(self, states, transitions):
-        return min(self.colors[q] for q in states) % 2 == 1
-
     def loop_key(self, states, transitions):
         return min(self.colors[q] for q in states)
 
@@ -252,7 +240,8 @@ class _Muller(Acceptance):
     """A table of accepted sets; a set inside no entry is keyed TOP."""
 
     def _key(self, visited):
-        return visited if any(visited <= e for e in self.table) else TOP
+        # an entry itself, the accepted case, needs no scan of the table
+        return visited if visited in self.table or any(map(visited.__le__, self.table)) else TOP
 
     def join(self, a, b):
         return TOP if a is TOP or b is TOP else self._key(a | b)
@@ -266,9 +255,6 @@ class _Muller(Acceptance):
 class MullerStates(_Muller):
     table: frozenset[frozenset[int]]
     kind = "muller"
-
-    def accepts_loop(self, states, transitions):
-        return states in self.table
 
     def loop_key(self, states, transitions):
         return self._key(states)
@@ -284,9 +270,6 @@ class MullerStates(_Muller):
 class MullerTransitions(_Muller):
     table: frozenset[frozenset[Transition]]
     kind = "tmuller"
-
-    def accepts_loop(self, states, transitions):
-        return transitions in self.table
 
     def loop_key(self, states, transitions):
         return self._key(transitions)
@@ -353,6 +336,16 @@ class LassoWord:
 
 def lasso(spoke: Iterable[str] | str, cycle: Iterable[str] | str) -> LassoWord:
     return LassoWord(tuple(spoke), tuple(cycle))
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Behavior summary of a nonempty finite word: per source state, the
+    target and the loop key of the states and transitions entered."""
+
+    targets: tuple[int, ...]
+    keys: tuple
+    representative: tuple[str, ...]
 
 
 @dataclass(frozen=True)

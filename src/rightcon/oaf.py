@@ -18,6 +18,10 @@ from .model import (
 )
 
 _KINDS = ("buchi", "cobuchi", "parity", "muller", "tmuller")
+# the acc form each type reads
+_ACC_FORM = {
+    "buchi": "states", "cobuchi": "states", "parity": "color", "muller": "set", "tmuller": "tset"
+}
 
 
 def parse_lasso(text: str, alphabet: Alphabet) -> LassoWord:
@@ -61,6 +65,7 @@ def parse_oaf(text: str) -> Acceptor:
     acc_colors = {}
     acc_sets = []
     acc_tsets = []
+    acc_lines: dict[str, int] = {}  # the first line of each acc form
     want_sink = False
 
     def fail(no, reason):
@@ -110,7 +115,10 @@ def parse_oaf(text: str) -> Acceptor:
                 fail(no, "trans needs: source symbol target")
             if alphabet is None or toks[2] not in alphabet:
                 fail(no, f"unknown symbol {toks[2]!r}")
-            delta[(state(no, toks[1]), toks[2])] = state(no, toks[3])
+            source, target = state(no, toks[1]), state(no, toks[3])
+            if (source, toks[2]) in delta:
+                fail(no, f"second trans for state {source} and symbol {toks[2]!r}")
+            delta[(source, toks[2])] = target
         elif head == "acc":
             if len(toks) < 2:
                 fail(no, "empty acc directive")
@@ -138,6 +146,7 @@ def parse_oaf(text: str) -> Acceptor:
                 acc_tsets.append(frozenset(entry))
             else:
                 fail(no, f"unknown acc form {sub!r}")
+            acc_lines.setdefault(sub, no)
         elif head == "complete":
             if len(toks) != 2 or toks[1] != "sink":
                 fail(no, "expected: complete sink")
@@ -155,6 +164,10 @@ def parse_oaf(text: str) -> Acceptor:
         fail(0, "missing 'states' line")
     if initial is None:
         fail(0, "missing 'initial' line")
+    stray = [(no, sub) for sub, no in acc_lines.items() if sub != _ACC_FORM[kind]]
+    if stray:
+        no, sub = min(stray)
+        fail(no, f"acc {sub} does not apply to type {kind}")
 
     if want_sink:
         structure = complete_with_sink(alphabet, state_count, initial, delta)

@@ -111,10 +111,11 @@ def combine(
     a = transition_expand(a)
     b = transition_expand(b)
     prod = product(a.structure, b.structure)
+    acc_a, acc_b = a.acceptance, b.acceptance
     table = []
     for states, _ in loopable_state_sets(prod.structure, capacity):
-        va = a.acceptance.accepts_loop(frozenset(prod.pairs[q][0] for q in states), frozenset())
-        vb = b.acceptance.accepts_loop(frozenset(prod.pairs[q][1] for q in states), frozenset())
+        va = acc_a.accepts_key(acc_a.loop_key(frozenset(prod.pairs[q][0] for q in states), frozenset()))
+        vb = acc_b.accepts_key(acc_b.loop_key(frozenset(prod.pairs[q][1] for q in states), frozenset()))
         verdict = (va or vb) if mode == "union" else (va and vb)
         if verdict:
             table.append(states)
@@ -140,7 +141,7 @@ def convert(
         table = frozenset(
             s
             for s, t in loopable_state_sets(structure, capacity)
-            if acc.accepts_loop(s, t)
+            if acc.accepts_key(acc.loop_key(s, t))
         )
         return Acceptor(structure, MullerStates(table))
     if isinstance(acc, MullerStates) and target == "tmuller":

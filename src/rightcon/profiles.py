@@ -2,27 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .congruence import Quotient, rightcon_quotient, shortest_word_to
 from .errors import CapacityExceeded
 from .graph import bfs_order
-from .model import Acceptor, LassoWord
+from .model import Acceptor, LassoWord, Profile
 from .parity import ParityView, find_discrepancy
-from .semantics import _walk, accepts
+from .semantics import LoopVerdicts, _walk, accepts
 
 MONOID_CAPACITY = 200000
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Behavior summary of a nonempty finite word: per source state, the
-    target and the loop key of the states and transitions entered."""
-
-    targets: tuple[int, ...]
-    keys: tuple
-    representative: tuple[str, ...]
 
 
 class ProfileMonoid:
@@ -31,7 +20,7 @@ class ProfileMonoid:
     A profile keeps, per source state, only the target and the loop key of
     the visited sets: the ω-verdicts and quotient orbits of a word's
     products read nothing else, and are read from these two tables
-    (`_OmegaVerdicts`, `_settles`), not from the word.  The elements are
+    (`LoopVerdicts`, `_settles`), not from the word.  The elements are
     those of the breadth-first closure `_closure`, drained whole, in the
     order it finds them; the shortlex-least word of each is its
     representative.
@@ -114,46 +103,11 @@ def _closure(acceptor: Acceptor, capacity: int, by_key: dict, letters: list, rig
         right.append(row)
 
 
-class _OmegaVerdicts(dict):
-    """Acceptance of rep(e)^omega from each state, read from e's tables; a
-    state's entry is computed when it is first looked up.
-
-    The run from q reads rep(e) from the boundary states q, e.targets[q],
-    ... .  Once one of them repeats, the infinity sets are what rep(e)
-    visits from the periodic boundary states, so their loop key is the join
-    of those states' keys.  A walk stops at a repeated or settled state and
-    settles every state it passed.
-    """
-
-    def __init__(self, acceptance, e: Profile):
-        self.acceptance = acceptance
-        self.e = e
-
-    def __missing__(self, q: int) -> bool:
-        targets = self.e.targets
-        walk = []
-        while q not in self and q not in walk:
-            walk.append(q)
-            q = targets[q]
-        if q in self:
-            verdict = self[q]
-        else:
-            keys, join = self.e.keys, self.acceptance.join
-            key, p = keys[q], targets[q]
-            while p != q:
-                key = join(key, keys[p])
-                p = targets[p]
-            verdict = self.acceptance.accepts_key(key)
-        for p in walk:
-            self[p] = verdict
-        return verdict
-
-
 def omega_accept(acceptor: Acceptor, s: Profile, t: Profile, from_state: int) -> bool:
     """Acceptance of rep(s) . rep(t)^omega started at from_state: the
     verdict of rep(t)^omega from s.targets[from_state], read from the
     tables of t."""
-    return _OmegaVerdicts(acceptor.acceptance, t)[s.targets[from_state]]
+    return LoopVerdicts(acceptor, t)[s.targets[from_state]]
 
 
 def _settles(step, c: int) -> bool:
@@ -182,13 +136,12 @@ def _is_respective(acceptor: Acceptor, quotient: Quotient):
     """`is_respective` on the right-congruence quotient of acceptor."""
     proj = quotient.projection
     members = [min(c) for c in quotient.classes]
-    acceptance = acceptor.acceptance
     structure = acceptor.structure
     reachable = sorted(proj)
     for e in _closure(acceptor, MONOID_CAPACITY, {}, [], []):
         targets = e.targets
         step = [proj[targets[q]] for q in members]
-        verdicts = _OmegaVerdicts(acceptance, e)
+        verdicts = LoopVerdicts(acceptor, e)
         for q in reachable:
             if not _settles(step, proj[q]) and verdicts[q]:
                 x = shortest_word_to(structure, structure.initial, q)
@@ -224,7 +177,6 @@ def _syntactic_classes(acceptor: Acceptor, proj: dict, elements, letters, right)
     the quotient projection `proj`, and refine to a two-sided congruence
     under the letters, given as a `ProfileMonoid`'s tables.
     """
-    acceptance = acceptor.acceptance
     symbol_index = acceptor.alphabet.index
     reachable = sorted(proj)
     n_el = len(elements)
@@ -236,7 +188,7 @@ def _syntactic_classes(acceptor: Acceptor, proj: dict, elements, letters, right)
         e = elements[i]
         lin = tuple(proj[e.targets[p]] for p in reachable)
         # acceptance of p . e^omega for every reachable p
-        verdicts = _OmegaVerdicts(acceptance, e)
+        verdicts = LoopVerdicts(acceptor, e)
         cyc = tuple(verdicts[p] for p in reachable)
         return (lin, cyc)
 

@@ -1,11 +1,15 @@
-"""Run analysis and membership for lasso words."""
+"""Run analysis and membership for lasso words; ω-verdicts of a word given
+by its symbols or by its profile."""
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .model import (
     Acceptor,
     LassoWord,
     MullerTransitions,
+    Profile,
     RunAnalysis,
     TransitionStructure,
 )
@@ -15,10 +19,12 @@ def _walk(delta, q: int, cycle, known) -> tuple[list[int], int | None]:
     """Read the cycle from q, then again from where it ends, and so on,
     until the boundary state is in `known` or repeats.
 
-    cycle is a sequence of symbol indices.  Returns the states read, from q
-    to the state where the walk stopped, and the number of readings before
-    the repeated state, or None when the walk stopped at a known state.  A
-    state repeats within state_count readings.
+    cycle is a sequence of symbol indices, each read as delta[q][i]; or
+    None, when delta maps a state straight to the next boundary state.
+    Returns the states read, from q to the state where the walk stopped,
+    and the number of readings before the repeated state, or None when the
+    walk stopped at a known state.  A state repeats within state_count
+    readings.
     """
     path = [q]
     seen: dict[int, int] = {}
@@ -27,9 +33,13 @@ def _walk(delta, q: int, cycle, known) -> tuple[list[int], int | None]:
         if entry is not None:
             return path, entry
         seen[q] = len(seen)
-        for i in cycle:
-            q = delta[q][i]
+        if cycle is None:
+            q = delta[q]
             path.append(q)
+        else:
+            for i in cycle:
+                q = delta[q][i]
+                path.append(q)
     return path, None
 
 
@@ -61,33 +71,41 @@ def _after_spoke(structure: TransitionStructure, w: LassoWord, from_state: int |
 
 
 class LoopVerdicts(dict):
-    """Membership of cycle^omega from each state, for one cycle given as
-    symbol indices; a state's entry is computed when it is first looked up.
+    """Membership of u^omega from each state, for one nonempty word u; a
+    state's entry is computed when it is first looked up.
 
-    The run from q passes the boundary states q, f(q), f(f(q)), ..., where f
-    reads the cycle once, and its infinity sets are the union of the paths
-    read from the boundary states that repeat.  Every boundary state of one
-    walk reaches the same repetition, so the walk settles them all, and a
-    later walk stops at the first settled state.  Entries hold for this
-    cycle only.
+    u is given as symbol indices, read through the structure's delta, or as
+    its Profile, which steps a state straight to its target.  The run from
+    q passes the boundary states q, f(q), f(f(q)), ..., where f reads u
+    once.  Once one of them repeats, the infinity sets are what u visits
+    from the periodic boundary states, and the verdict is `accepts_key` of
+    their loop key: `loop_key` of the periodic part of the path read, or
+    for a profile the join of the periodic states' keys.  Every boundary
+    state of one walk reaches the same repetition, so the walk settles them
+    all, and a later walk stops at the first settled state.  Entries hold
+    for this u only.
     """
 
-    def __init__(self, acceptor: Acceptor, cycle):
+    def __init__(self, acceptor: Acceptor, u):
         self.acceptor = acceptor
-        self.cycle = cycle
+        self.u = u
 
     def __missing__(self, q: int) -> bool:
-        cycle = self.cycle
-        path, entry = _walk(self.acceptor.structure.delta, q, cycle, self)
-        if entry is None:
-            verdict = self[path[-1]]
+        u = self.u
+        acc = self.acceptor.acceptance
+        if isinstance(u, Profile):
+            boundary, entry = _walk(u.targets, q, None, self)
+            if entry is not None:
+                key = reduce(acc.join, [u.keys[p] for p in boundary[entry:-1]])
         else:
-            acc = self.acceptor.acceptance
-            sets = _infinity_sets(
-                self.acceptor.structure, cycle, path, entry, isinstance(acc, MullerTransitions)
-            )
-            verdict = acc.accepts_loop(*sets)
-        for b in path[:: len(cycle)]:
+            structure = self.acceptor.structure
+            path, entry = _walk(structure.delta, q, u, self)
+            boundary = path[:: len(u)]
+            if entry is not None:
+                sets = _infinity_sets(structure, u, path, entry, isinstance(acc, MullerTransitions))
+                key = acc.loop_key(*sets)
+        verdict = self[boundary[-1]] if entry is None else acc.accepts_key(key)
+        for b in boundary:
             self[b] = verdict
         return verdict
 

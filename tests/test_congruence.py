@@ -346,6 +346,15 @@ class TestClassify:
             with pytest.raises(CapacityExceeded):
                 c.certificates["IT"]
 
+    def test_repr_shows_a_deferred_certificate_without_building_it(self):
+        c = classify(random_dma(8, "c/2"), capacity=10_000)
+        text = repr(c.certificates)
+        assert text.startswith("{'IT': <deferred>, 'IM': MullerStates(")
+        assert "certificates={'IT': <deferred>" in repr(c)
+        with pytest.raises(CapacityExceeded):
+            c.certificates["IT"]
+        assert repr(c.certificates) == text
+
     def test_random_certificates_and_conflicts(self):
         rng = random.Random(5)
         for _ in range(30):

@@ -10,6 +10,7 @@ from rightcon import (
     MullerStates,
     MullerTransitions,
     Parity,
+    Profile,
     TransitionStructure,
     accepts,
     lasso_run,
@@ -23,6 +24,7 @@ from helpers import (
     ACCEPTANCE_KINDS,
     naive_accepts,
     naive_infinity_sets,
+    naive_profile,
     random_acceptor,
     random_lasso,
 )
@@ -138,10 +140,19 @@ def test_lasso_kernel_matches_naive_simulator():
             assert accepts(a, w, q) == naive_accepts(a, w, q)
 
 
+def _both_forms(a, cycle):
+    """LoopVerdicts of one cycle given as symbol indices and as its profile,
+    the (targets, keys) that naive_profile collects by simulation."""
+    return (
+        LoopVerdicts(a, tuple(map(a.alphabet.index, cycle))),
+        LoopVerdicts(a, Profile(*naive_profile(a, cycle), cycle)),
+    )
+
+
 def test_loop_verdicts_match_naive_simulator_from_every_state():
     # one LoopVerdicts per cycle answers for every state, looked up in a
     # random order, so later walks stop at states that earlier ones settled;
-    # the same acceptor is asked again under each new cycle
+    # the same acceptor is asked again under each new cycle, in both forms
     rng = random.Random("graph/loop-verdicts")
     abc = Alphabet(("a", "b", "c"))
     for i in range(150):
@@ -151,10 +162,10 @@ def test_loop_verdicts_match_naive_simulator_from_every_state():
         states = list(range(n))
         for length in range(1, 2 * n + 1):
             cycle = tuple(rng.choice(a.alphabet.symbols) for _ in range(length))
-            verdicts = LoopVerdicts(a, tuple(map(a.alphabet.index, cycle)))
-            rng.shuffle(states)
-            for q in states:
-                assert verdicts[q] == naive_accepts(a, LassoWord((), cycle), q), (i, cycle, q)
+            for verdicts in _both_forms(a, cycle):
+                rng.shuffle(states)
+                for q in states:
+                    assert verdicts[q] == naive_accepts(a, LassoWord((), cycle), q), (i, cycle, q)
 
 
 def test_loop_verdicts_union_every_pass_of_the_period():
@@ -176,9 +187,9 @@ def test_loop_verdicts_union_every_pass_of_the_period():
             for m in range(1, 2 * n + 1):
                 for cycle in ("a" * m, "a" * (m - 1) + "b"):
                     w = LassoWord((), tuple(cycle))
-                    verdicts = LoopVerdicts(a, tuple(map(AB.index, cycle)))
+                    symbols, profile = _both_forms(a, tuple(cycle))
                     for q in range(n):
-                        assert verdicts[q] == naive_accepts(a, w, q), (n, acc.kind, cycle, q)
+                        assert symbols[q] == profile[q] == naive_accepts(a, w, q), (n, acc.kind, cycle, q)
                         run = lasso_run(structure, w, q)
                         naive = naive_infinity_sets(structure, w, q)
                         assert (run.inf_states, run.inf_transitions) == naive, (n, cycle, q)

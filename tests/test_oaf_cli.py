@@ -138,6 +138,7 @@ class TestOafErrors:
             ("oaf 1\ninitial\n", 2, "initial needs"),
             ("oaf 1\nalphabet a\nstates 4\ninitial ٣\n", 4, "expected a state id"),
             (HEAD + "trans 0 a\n", 6, "trans needs"),
+            (HEAD.replace("states 1", "states 2") + "trans 0 a 0\ntrans 0 a 1\n", 7, "second trans for state 0"),
             (HEAD + "trans +0 a 0\n", 6, "expected a state id"),
             (HEAD + "acc\n", 6, "empty acc"),
             (HEAD + "acc color 0\n", 6, "acc color needs"),
@@ -146,6 +147,11 @@ class TestOafErrors:
             (HEAD + "acc tset 0 a\n", 6, "acc tset needs"),
             (HEAD + "acc tset 0 a 0 ; 0 z 0\n", 6, "unknown symbol 'z'"),
             (HEAD + "acc foo\n", 6, "unknown acc form"),
+            # a well-formed acc line the type does not read, wherever the
+            # type line comes
+            (HEAD.replace("buchi", "muller") + "acc states 0\n", 6, "acc states does not apply to type muller"),
+            (HEAD + "acc states 0\nacc set 0\n", 7, "acc set does not apply to type buchi"),
+            ("oaf 1\nalphabet a\nacc color 0 1\nacc tset 0 a 0\nstates 1\ninitial 0\ntype tmuller\n", 3, "acc color does not apply"),
             (HEAD + "complete\n", 6, "complete sink"),
             ("oaf 1\nalphabet a\nstates 1\ninitial 0\n", 0, "missing 'type'"),
             ("oaf 1\ntype buchi\nalphabet a\ninitial 0\n", 0, "missing 'states'"),
@@ -362,6 +368,13 @@ class TestCli:
         p.write_text("oaf 1\ntype parity\nalphabet a\nstates 1\ninitial 0\ntrans 0 a 0\nacc color 0 x\n")
         code, out = self.run(capsys, "validate", str(p))
         assert code == 3 and "line 7" in out.err and "'x'" in out.err
+
+    def test_second_trans_exit_3(self, capsys, tmp_path):
+        # the last trans line for a (state, symbol) used to win silently
+        p = tmp_path / "bad.oaf"
+        p.write_text("oaf 1\ntype buchi\nalphabet a\nstates 2\ninitial 0\ntrans 0 a 0\ntrans 0 a 1\ntrans 1 a 1\n")
+        code, out = self.run(capsys, "validate", str(p))
+        assert code == 3 and out.out == "" and out.err.startswith("error: line 7: second trans")
 
     def test_non_utf8_file_exit_3(self, capsys, tmp_path):
         p = tmp_path / "bad.oaf"

@@ -28,16 +28,16 @@ from rightcon.profiles import (
     _closure,
     _counting_by_classes,
     _counts,
-    _OmegaVerdicts,
     _syntactic_classes,
 )
-from rightcon.semantics import _walk
+from rightcon.semantics import LoopVerdicts, _walk
 
 from helpers import (
     ACCEPTANCE_KINDS,
     all_fixtures,
     naive_accepts,
     naive_profile,
+    naive_verdict,
     oracle_respective_bruteforce,
     prefix_pumping_flip,
     random_acceptor,
@@ -229,7 +229,7 @@ class TestProfileMonoid:
                 a = random_acceptor(rng, max_states=5, kinds=(kind,))
                 acc = a.acceptance
                 for states, trans in _visited_sets(rng, a, 20):
-                    want = acc.accepts_loop(states, trans)
+                    want = naive_verdict(acc, states, trans)
                     assert acc.accepts_key(acc.loop_key(states, trans)) == want, (kind, states, trans)
                     seen.add(want)
             # both verdicts occur for every kind
@@ -266,7 +266,7 @@ class TestOmegaAccept:
         # from its tables, against simulation of its representative
         for name, a in _small_inputs():
             for e in profile_monoid(a).elements:
-                verdicts = _OmegaVerdicts(a.acceptance, e)
+                verdicts = LoopVerdicts(a, e)
                 w = LassoWord((), e.representative)
                 for q in sorted(a.structure.reachable_states()):
                     assert verdicts[q] == naive_accepts(a, w, q), (name, e.representative, q)
@@ -395,7 +395,7 @@ class TestNonCounting:
             cls = _syntactic_classes(a, proj, m.elements, m.letters, m.right)
 
             def base_colour(f):
-                verdicts = _OmegaVerdicts(a.acceptance, f)
+                verdicts = LoopVerdicts(a, f)
                 return tuple(proj[f.targets[p]] for p in reachable), tuple(verdicts[p] for p in reachable)
 
             for i, e in enumerate(m.elements):
