@@ -11,7 +11,11 @@ from .errors import NotMuller, NotTrivial
 from .graph import bfs_order, bfs_path
 from .loops import (
     DEFAULT_CAPACITY,
+    Budget,
     _chain_flags,
+    _edge_graph,
+    _spans,
+    least_spanning,
     loopable_state_sets,
     loopable_transition_sets,
 )
@@ -315,19 +319,117 @@ def _verdict_groups(key_fn, sets, verdicts) -> dict:
     return groups
 
 
+class _LoopImage:
+    """A loopable state set's internal transitions, sorted, with their
+    quotient images and the mask of the transitions over each image."""
+
+    def __init__(self, states: frozenset[int], trans: frozenset[Transition], proj: dict):
+        self.states = states
+        self.edges = sorted(trans)
+        self.images = [(proj[p], sym, proj[q]) for (p, sym, q) in self.edges]
+        self.graph = _edge_graph(states, self.edges)
+        self.masks: dict = {}
+        for i, y in enumerate(self.images):
+            self.masks[y] = self.masks.get(y, 0) | 1 << i
+
+    def spans(self, image) -> bool:
+        """Do its transitions over `image`, a subset of its images, span it?"""
+        mask = 0
+        for y in image:
+            mask |= self.masks[y]
+        return _spans(self.graph, mask)
+
+    def least(self, budget: Budget, image=None) -> tuple:
+        """(states, T) for its (size, sorted)-least spanning T, of image
+        exactly `image` when given; it must span over `image`."""
+        labels = None
+        if image is not None:
+            labels = {e: y for e, y in zip(self.edges, self.images) if y in image}
+        return self.states, least_spanning(self.states, self.edges, labels, budget)
+
+
+def _least_common_image(a: _LoopImage, b: _LoopImage, common: set, budget: Budget) -> list:
+    """The sorted-least image within `common` over which both a and b span,
+    as a sorted list; both must span over all of `common`.
+
+    Such images form an up-set, and the sorted-least member of an up-set of
+    subsets of `common` is its shortest prefix in sorted order: any other
+    member is larger where it first leaves that order, or extends it.  The
+    prefixes are nested, so the shortest is found by bisection."""
+    image = sorted(common)
+    lo, hi = 1, len(image)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        budget.spend()
+        if a.spans(image[:mid]) and b.spans(image[:mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return image[:hi]
+
+
+def _least_pair(options) -> tuple:
+    """The (states, T) pair of least (size, sorted) T among `options`."""
+    return min(options, key=lambda pair: _size_then_sorted(pair[1]))
+
+
+def _state_conflicts(mixed: dict, proj: dict, budget: Budget) -> tuple:
+    """The IT and IM conflicts of a state-based acceptance, each None or a
+    pair ((states, T) accepted, (states, T) rejected).
+
+    `mixed` maps the state image of each IM-conflicting group to its state
+    sets by verdict.  Transitions with equal quotient images have equal
+    state images, so an IT conflict is an accepting S1 and a rejecting S2
+    of one group with spanning transition sets of one image.  Spanning is
+    closed upward, so that holds iff the internal transitions of each S_i
+    over the images both share still span it.  The IT conflict is taken at
+    the sorted-least conflicting image, the IM conflict in the sorted-least
+    group, and each side at its (size, sorted)-least spanning T.
+    """
+    loop_images = {s: _LoopImage(s, t, proj) for g in mixed.values() for pairs in g.values() for s, t in pairs}
+    least_images = []
+    for g in mixed.values():
+        for s1, _ in g[True]:
+            a = loop_images[s1]
+            for s2, _ in g[False]:
+                budget.spend()
+                b = loop_images[s2]
+                common = a.masks.keys() & b.masks.keys()
+                if a.spans(common) and b.spans(common):
+                    least_images.append(_least_common_image(a, b, common, budget))
+    it = None
+    if least_images:
+        image = frozenset(min(least_images))
+        # a spanning image leaves every class of its state sets
+        group = mixed[frozenset(c for (c, _, _) in image)]
+
+        def least_over_image(verdict):
+            return _least_pair(
+                loop_images[s].least(budget, image)
+                for s, _ in group[verdict]
+                if image <= loop_images[s].masks.keys() and loop_images[s].spans(image)
+            )
+
+        it = least_over_image(True), least_over_image(False)
+    im = None
+    if mixed:
+        group = mixed[min(mixed, key=sorted)]
+        im = tuple(_least_pair(loop_images[s].least(budget) for s, _ in group[v]) for v in (True, False))
+    return it, im
+
+
 def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classification:
     """Index, triviality, and the informative-class flags with evidence.
 
-    IM groups the loop sets by the quotient image of their states.  For a
-    state-based acceptance IT is then decided on the transition sets of the
-    IM-conflicting groups alone: the verdict reads the state set only, and
-    transition sets with equal quotient images have equal state images, so
-    every IT conflict, and the least conflicting image with its least
-    transition sets, lies in such a group.  When IM holds no transition set
-    is listed, and the IT certificate is built on its first read from the
-    groups holding an accepting state set.  A transition-table acceptance
-    lists every transition set.  Every listing, the deferred one too, raises
-    `CapacityExceeded` past `capacity` sets.
+    IM groups the loop sets by the quotient image of their states.  A
+    transition-table acceptance lists every transition set and groups those
+    by their quotient image for IT.  A state-based verdict reads the state
+    set only, so IT is decided on the state sets of the IM-conflicting
+    groups, and no transition set is listed (`_state_conflicts`); the IT
+    certificate is built on its first read by listing the transition sets
+    of the accepting state sets.  Every listing, the deferred one too,
+    raises `CapacityExceeded` past `capacity` sets, and the conflict search
+    past `capacity` steps.
     """
     quotient = rightcon_quotient(acceptor)
     proj = quotient.projection
@@ -340,9 +442,6 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     def s_key(s, t):
         return frozenset(proj[q] for q in s)
 
-    def members(groups) -> list:
-        return [s for g in groups for pairs in g.values() for s, _ in pairs]
-
     ssets = loopable_state_sets(structure, capacity)
     by_transitions = isinstance(acc, MullerTransitions)
     # the loop sets a verdict is read from, each read once: transition sets
@@ -352,57 +451,47 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         loops = loopable_transition_sets(structure, capacity, [s for s, _ in ssets])
     verdicts = [acc.accepts_key(acc.loop_key(s, t)) for s, t in loops]
     im_groups = _verdict_groups(s_key, loops, verdicts)
-    if by_transitions:
-        tsets, t_verdicts = loops, verdicts
-    else:
-        # a state-based verdict reads the state set only
-        accepting = {s for (s, _), v in zip(loops, verdicts) if v}
-        mixed = members(g for g in im_groups.values() if len(g) > 1)
-        tsets = loopable_transition_sets(structure, capacity, mixed)
-        t_verdicts = [s in accepting for s, _ in tsets]
-    it_groups = _verdict_groups(t_key, tsets, t_verdicts)
     flags: dict = {}
     certificates: dict = {}
     counterexamples: dict = {}
 
+    def conflict(flag: str, pos, neg) -> None:
+        counterexamples[flag] = ("conflict", _loop_lasso(structure, *pos), _loop_lasso(structure, *neg))
+
     def consistent(groups, flag: str) -> bool:
         conflicts = [k for k, g in groups.items() if len(g) > 1]
-        if not conflicts:
-            return True
-        # the least conflicting key and its least transition sets, so that
-        # the counterexample does not depend on the enumeration order
-        group = groups[min(conflicts, key=sorted)]
-        if groups is im_groups and not by_transitions:
-            # state sets were grouped, with all their internal transitions;
-            # the transition sets of a conflicting group are in tsets, and
-            # each has the verdict of its state set
-            in_group = {s for pairs in group.values() for s, _ in pairs}
-            group = _verdict_groups(lambda s, t: s in in_group, tsets, t_verdicts)[True]
-        pos, neg = (
-            _loop_lasso(structure, *min(group[v], key=lambda pair: _size_then_sorted(pair[1])))
-            for v in (True, False)
-        )
-        counterexamples[flag] = ("conflict", pos, neg)
-        return False
+        if conflicts:
+            # the least conflicting key and its least transition sets, so
+            # that the counterexample does not depend on the listing order
+            group = groups[min(conflicts, key=sorted)]
+            conflict(flag, *(_least_pair(group[v]) for v in (True, False)))
+        return not conflicts
 
-    flags["IT"] = consistent(it_groups, "IT")
-    if flags["IT"] and by_transitions:
-        certificates["IT"] = MullerTransitions(
-            frozenset(k for k, g in it_groups.items() if True in g)
-        )
-    elif flags["IT"]:
-        # the images of the accepting transition sets, listed on the first
-        # read from the groups holding an accepting state set
-        wanted = members(g for g in im_groups.values() if True in g)
-        certificates["IT"] = lambda: MullerTransitions(
-            frozenset(
-                t_key(s, t)
-                for s, t in loopable_transition_sets(structure, capacity, wanted)
-                if s in accepting
+    if by_transitions:
+        it_groups = _verdict_groups(t_key, loops, verdicts)
+        flags["IT"] = consistent(it_groups, "IT")
+        if flags["IT"]:
+            certificates["IT"] = MullerTransitions(
+                frozenset(k for k, g in it_groups.items() if True in g)
             )
-        )
+        flags["IM"] = consistent(im_groups, "IM")
+    else:
+        mixed = {k: g for k, g in im_groups.items() if len(g) > 1}
+        it, im = _state_conflicts(mixed, proj, Budget("conflict search steps", capacity))
+        flags["IT"] = it is None
+        if it is not None:
+            conflict("IT", *it)
+        else:
+            # the images of the accepting transition sets, listed on the
+            # first read from the accepting state sets
+            wanted = [s for (s, _), v in zip(loops, verdicts) if v]
+            certificates["IT"] = lambda: MullerTransitions(
+                frozenset(t_key(s, t) for s, t in loopable_transition_sets(structure, capacity, wanted))
+            )
+        flags["IM"] = im is None
+        if im is not None:
+            conflict("IM", *im)
 
-    flags["IM"] = consistent(im_groups, "IM")
     if not flags["IM"]:
         for flag in ("IP", "IB", "IC"):
             flags[flag] = False

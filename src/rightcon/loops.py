@@ -159,23 +159,34 @@ def loopable_transition_sets(
     return out
 
 
-def _spanning_masks(states: frozenset[int], edges: list[Transition]):
-    """Bitmasks over `edges` of the subsets that span `states` strongly
-    connected; a singleton needs a self-loop, i.e. a nonempty mask."""
+def _edge_graph(states: frozenset[int], edges: list[Transition]):
+    """Successor and predecessor lists for `_reach` over `edges`, transitions
+    inside `states`: the states are numbered in sorted order, and edge i may
+    be taken when bit i is in the mask."""
     local = {q: i for i, q in enumerate(sorted(states))}
-    everyone = (1 << len(states)) - 1
     succ: list[list[tuple[int, int]]] = [[] for _ in states]
     pred: list[list[tuple[int, int]]] = [[] for _ in states]
     for i, (p, _, q) in enumerate(edges):
         succ[local[p]].append((1 << i, local[q]))
         pred[local[q]].append((1 << i, local[p]))
+    return succ, pred
 
-    def spans(mask):
-        # from min(states), which has local index 0
-        return mask != 0 and _reach(succ, 0, mask) == everyone == _reach(pred, 0, mask)
 
+def _spans(graph, mask: int) -> bool:
+    """Do the edges in `mask` connect all of `graph`'s states strongly?  A
+    singleton needs a self-loop, i.e. a nonempty mask."""
+    succ, pred = graph
+    everyone = (1 << len(succ)) - 1
+    # from the least state, which has local index 0
+    return mask != 0 and _reach(succ, 0, mask) == everyone == _reach(pred, 0, mask)
+
+
+def _spanning_masks(states: frozenset[int], edges: list[Transition]):
+    """Bitmasks over `edges` of the subsets that span `states` strongly
+    connected."""
+    graph = _edge_graph(states, edges)
     full = (1 << len(edges)) - 1
-    if not spans(full):
+    if not _spans(graph, full):
         return
     # a transition that cannot leave a mask cannot leave any subset of it
     # either, so each child tries only the droppable ones after its own
@@ -183,9 +194,99 @@ def _spanning_masks(states: frozenset[int], edges: list[Transition]):
     while stack:
         mask, candidates = stack.pop()
         yield mask
-        droppable = [i for i in candidates if spans(mask & ~(1 << i))]
+        droppable = [i for i in candidates if _spans(graph, mask & ~(1 << i))]
         for k, i in enumerate(droppable):
             stack.append((mask & ~(1 << i), droppable[k + 1:]))
+
+
+class Budget:
+    """Steps of work that the searches of one call share; the step past
+    `capacity` raises `CapacityExceeded`."""
+
+    def __init__(self, what: str, capacity: int = DEFAULT_CAPACITY):
+        self.what = what
+        self.capacity = capacity
+        self.left = capacity
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise CapacityExceeded(self.what, self.capacity)
+
+
+def least_spanning(
+    states: frozenset[int],
+    edges: Iterable[Transition],
+    image: dict | None = None,
+    budget: Budget | None = None,
+) -> frozenset[Transition] | None:
+    """The (size, sorted)-least subset of `edges` spanning `states` strongly
+    connected, or None if there is none.
+
+    `edges` are transitions inside `states`.  When `image` is given it maps
+    the edges the subset may use to their labels, and the subset must hold
+    an edge of every label.  Sizes are tried from the least possible up,
+    each by an include-first search over the sorted edges, so the first
+    subset found is the answer.  A branch is cut when the edges left cannot
+    give every state an out-edge and an in-edge, and every label an edge,
+    within the size left, or when the edges chosen and those left no longer
+    span.  The problem is NP-hard (a spanning set of |states| edges is a
+    Hamiltonian cycle), so every search node is spent from `budget`.
+    """
+    if budget is None:
+        budget = Budget("spanning search nodes")
+    edges = sorted(e for e in edges if image is None or e in image)
+    graph = _edge_graph(states, edges)
+    m = len(edges)
+    full = (1 << m) - 1
+    if not _spans(graph, full):
+        return None
+    local = {q: i for i, q in enumerate(sorted(states))}
+    labels: dict = {}
+    if image is not None:
+        for e in edges:
+            labels.setdefault(image[e], 1 << len(labels))
+    # per edge, its bits as an out-edge, an in-edge and a label; then the
+    # unions of those bits over each suffix of the edges
+    bits = [(1 << local[e[0]], 1 << local[e[2]], labels[image[e]] if labels else 0) for e in edges]
+    suffix = [(0, 0, 0)] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        o, n, l = suffix[i + 1]
+        suffix[i] = (o | bits[i][0], n | bits[i][1], l | bits[i][2])
+    everyone = (1 << len(states)) - 1
+    all_labels = (1 << len(labels)) - 1
+
+    def search(size):
+        # frames (next edge, chosen mask, outs, ins, labels, size left,
+        # whether an edge was just left out); the include branch is pushed
+        # last, so it is searched first
+        stack = [(0, 0, 0, 0, 0, size, False)]
+        while stack:
+            i, mask, outs, ins, labs, left, dropped = stack.pop()
+            # without the edge left out, the chosen edges and those from i
+            # on must still span
+            if dropped and not _spans(graph, mask | full & ~((1 << i) - 1)):
+                continue
+            budget.spend()
+            if left == 0:
+                if outs == ins == everyone and labs == all_labels and _spans(graph, mask):
+                    return mask
+                continue
+            if m - i < left or any(
+                missing & ~reachable or missing.bit_count() > left
+                for missing, reachable in zip((everyone & ~outs, everyone & ~ins, all_labels & ~labs), suffix[i])
+            ):
+                continue
+            o, n, l = bits[i]
+            stack.append((i + 1, mask, outs, ins, labs, left, True))
+            stack.append((i + 1, mask | 1 << i, outs | o, ins | n, labs | l, left - 1, False))
+        return None
+
+    for size in range(max(len(states), len(labels)), m + 1):
+        mask = search(size)
+        if mask is not None:
+            return frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
+    raise AssertionError("the full edge set spans, so some size is found")
 
 
 def loopable_sets(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> LoopTable:

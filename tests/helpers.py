@@ -276,24 +276,46 @@ def brute_loopable_transition_sets(structure):
     for bits in range(1, 1 << len(trans)):
         t_set = frozenset(t for i, t in enumerate(trans) if bits >> i & 1)
         states = frozenset(q for (p, _, r) in t_set for q in (p, r))
-        if len(states) == 1 and not any(p == r for (p, _, r) in t_set):
-            continue
-        connected = True
-        for src in states:
-            seen = {src}
-            changed = True
-            while changed:
-                changed = False
-                for (p, _, r) in t_set:
-                    if p in seen and r not in seen:
-                        seen.add(r)
-                        changed = True
-            if seen != states:
-                connected = False
-                break
-        if connected:
+        if naive_transitions_connect(states, t_set):
             out.append((states, t_set))
     return out
+
+
+def naive_transitions_connect(states, t_set):
+    """Do the transitions `t_set` connect `states` strongly, touching no
+    other state?  A singleton needs a self-loop.  Found by naive closure
+    from each state."""
+    if not t_set or {q for (p, _, r) in t_set for q in (p, r)} != set(states):
+        return False
+    for src in states:
+        seen = {src}
+        changed = True
+        while changed:
+            changed = False
+            for (p, _, r) in t_set:
+                if p in seen and r not in seen:
+                    seen.add(r)
+                    changed = True
+        if seen != states:
+            return False
+    return True
+
+
+def oracle_least_spanning(states, edges, image=None):
+    """The (size, sorted)-least subset of `edges` that connects `states`
+    strongly, or None.  When `image` is given it maps the edges the subset
+    may use to their labels, and the subset must hold every label among
+    them.  Found by trying the subsets size by size, each size in sorted
+    order, so the first that qualifies is the least."""
+    allowed = sorted(e for e in edges if image is None or e in image)
+    labels = None if image is None else {image[e] for e in allowed}
+    for size in range(1, len(allowed) + 1):
+        for t in itertools.combinations(allowed, size):
+            if labels is not None and {image[e] for e in t} != labels:
+                continue
+            if naive_transitions_connect(states, frozenset(t)):
+                return frozenset(t)
+    return None
 
 
 def naive_chain_flags(entries):
@@ -362,6 +384,31 @@ def oracle_IT_certificate(acceptor, quotient):
     if any(len(vs) > 1 for vs in by_trans.values()):
         return None
     return MullerTransitions(frozenset(t for t, vs in by_trans.items() if True in vs))
+
+
+def oracle_conflicts(acceptor, quotient):
+    """The IT and IM conflicts `classify` reports, by brute force over every
+    strongly connected transition set.  Each set is keyed by its projected
+    transitions for IT and its projected states for IM; for each flag
+    whose keys hold both verdicts, the sorted-least such key gives the
+    (size, sorted)-least accepted and rejected transition sets."""
+    proj = quotient.projection
+    groups = {"IT": {}, "IM": {}}
+    for states, trans in brute_loopable_transition_sets(acceptor.structure):
+        verdict = naive_verdict(acceptor.acceptance, states, trans)
+        keys = {
+            "IT": frozenset((proj[p], sym, proj[q]) for (p, sym, q) in trans),
+            "IM": frozenset(proj[q] for q in states),
+        }
+        for flag, key in keys.items():
+            groups[flag].setdefault(key, {}).setdefault(verdict, []).append(trans)
+    out = {}
+    for flag, by_key in groups.items():
+        conflicts = [k for k, g in by_key.items() if len(g) > 1]
+        if conflicts:
+            g = by_key[min(conflicts, key=sorted)]
+            out[flag] = tuple(min(g[v], key=lambda t: (len(t), sorted(t))) for v in (True, False))
+    return out
 
 
 def oracle_IT(acceptor, quotient):

@@ -14,6 +14,7 @@ from rightcon import (
     classify,
     equivalent,
     fixture,
+    format_lasso,
     index,
     is_trivial,
     powerset,
@@ -38,6 +39,8 @@ from helpers import (
     all_fixtures,
     forced_verdicts,
     naive_accepts,
+    naive_infinity_sets,
+    oracle_conflicts,
     oracle_IT_certificate,
     random_acceptor,
     random_lasso,
@@ -291,8 +294,8 @@ class TestClassify:
         assert any("IP" in ces["certificates"] for ces in outs[0].values())
 
     def test_seven_to_ten_states_stay_within_capacity(self):
-        # only the state sets of IM-conflicting groups are expanded into
-        # transition sets to decide IT, and these inputs have none
+        # no transition set is listed to decide IT, and these inputs have
+        # no IM-conflicting group to search for a conflict
         for n in (7, 10):
             c = classify(random_dma(n, "c/0"), capacity=10_000)
             assert c.index == n
@@ -312,6 +315,34 @@ class TestClassify:
             c = classify(a)
             assert c.certificates.get("IT") == oracle_IT_certificate(a, c.quotient), tag
 
+    def test_conflict_counterexamples_match_brute_force(self):
+        # each conflict lasso settles into the transition set the brute
+        # force picks: the least of its verdict at the least conflicting
+        # key (the flags themselves are checked against exhaustive oracles
+        # in criterion 6, so inputs without a conflict are skipped)
+        rng = random.Random("classify/conflicts")
+        inputs = [(name, a) for name, a in all_fixtures() if len(a.structure.all_transitions()) <= 12]
+        inputs += [(f"dma/{n}/c/{i}", random_dma(n, f"c/{i}")) for n in (3, 4) for i in range(100)]
+        inputs += [
+            (f"{kind}/{i}", random_acceptor(rng, max_states=4, kinds=(kind,)))
+            for kind in ACCEPTANCE_KINDS
+            for i in range(12)
+        ]
+        seen = {"IT": 0, "IM": 0}
+        for tag, a in inputs:
+            c = classify(a)
+            if c.flags["IM"]:
+                continue
+            want = oracle_conflicts(a, c.quotient)
+            for flag in ("IT", "IM"):
+                assert (flag in want) == (not c.flags[flag]), (tag, flag)
+                if flag in want:
+                    _, pos, neg = c.counterexamples[flag]
+                    got = tuple(naive_infinity_sets(a.structure, w)[1] for w in (pos, neg))
+                    assert got == want[flag], (tag, flag)
+                    seen[flag] += 1
+        assert min(seen.values()) >= 10
+
     def test_it_is_decided_without_listing_transition_sets(self, monkeypatch):
         import rightcon.congruence
 
@@ -324,6 +355,17 @@ class TestClassify:
             return out
 
         monkeypatch.setattr(rightcon.congruence, "loopable_transition_sets", counted)
+        # state-based inputs where IT fails, and one where IT holds and IM
+        # fails: the flags and the conflict counterexamples list nothing
+        for a, it in ((fixture("fgaxa"), False), (random_dma(5, "c/1"), False), (random_dma(4, "c/1"), True)):
+            c = classify(a)
+            assert c.flags["IT"] == it and not c.flags["IM"]
+            for flag in ("IT", "IM"):
+                if flag in c.counterexamples:
+                    kind, pos, neg = c.counterexamples[flag]
+                    assert kind == "conflict" and format_lasso(pos) and format_lasso(neg)
+            assert ("IT" in c.certificates) == it
+        assert sum(listed) == 0
         c = classify(random_dma(5, "c/0"))
         assert c.flags["IT"] and c.flags["IM"]
         assert "IT" not in c.counterexamples and "IM" not in c.counterexamples
@@ -336,6 +378,25 @@ class TestClassify:
         assert c.certificates.get("IT") is cert and sum(listed) == built
         assert c.certificates == dict(c.certificates.items())
         assert repr(c.certificates) == repr(dict(c.certificates.items()))
+
+    def test_conflicts_of_large_state_based_inputs(self):
+        # the IM counterexample lassos of random_dma(8, "c/10"), as given
+        # when the 537,020 transition sets of its IM-conflicting state sets
+        # were listed to pick them
+        c = classify(random_dma(8, "c/10"))
+        assert c.flags["IT"] and not c.flags["IM"]
+        kind, pos, neg = c.counterexamples["IM"]
+        assert (kind, format_lasso(pos), format_lasso(neg)) == ("conflict", ":ababaaba", ":ababacaba")
+        # listing the transition sets of its IM-conflicting state sets ran
+        # out of memory under a 2 GB address-space limit
+        c = classify(random_dma(18, 1))
+        assert c.flags["IT"] and not c.flags["IM"]
+
+    def test_conflict_search_past_capacity_raises(self):
+        # 27 loopable state sets, fewer than the capacity, while the
+        # search for the least spanning transition sets takes more steps
+        with pytest.raises(CapacityExceeded):
+            classify(random_dma(8, "c/10"), capacity=100)
 
     def test_it_certificate_read_past_capacity_raises(self):
         # its own quotient: IM holds, so deciding IT lists nothing, while

@@ -1,5 +1,6 @@
 """Loop tables, chain classes, alternation measure, weak conversions."""
 
+import itertools
 import random
 
 import pytest
@@ -15,21 +16,32 @@ from rightcon import (
     is_weak,
     loopable_sets,
     random_dma,
+    rightcon_quotient,
     weak_to_buchi,
     weak_to_cobuchi,
 )
 from rightcon.errors import CapacityExceeded, NotWeak
-from rightcon.loops import _loopable_scc, _state_graph, loopable_state_sets, loopable_transition_sets
+from rightcon.loops import (
+    Budget,
+    _loopable_scc,
+    _state_graph,
+    least_spanning,
+    loopable_state_sets,
+    loopable_transition_sets,
+)
 from rightcon.model import Alphabet, make_structure, muller, validate
 from rightcon.ops import combine
 
 from helpers import (
     AB,
+    ACCEPTANCE_KINDS,
     all_fixtures,
     brute_loopable_state_sets,
     brute_loopable_transition_sets,
     naive_chain_flags,
     naive_strongly_connected,
+    naive_transitions_connect,
+    oracle_least_spanning,
     random_acceptor,
     random_structure,
 )
@@ -160,6 +172,64 @@ class TestLoopTables:
         for states, _ in loopable_state_sets(structure):
             chosen = loopable_transition_sets(structure, state_sets=[states])
             assert chosen == [(s, t) for s, t in every if s == states]
+
+
+class TestLeastSpanning:
+    @staticmethod
+    def inputs():
+        rng = random.Random("loops/least-spanning")
+        out = all_fixtures()
+        out += [(f"dma/{n}/c/{i}", random_dma(n, f"c/{i}")) for n in (3, 4) for i in range(20)]
+        out += [
+            (f"{kind}/{i}", random_acceptor(rng, kinds=(kind,)))
+            for kind in ACCEPTANCE_KINDS
+            for i in range(12)
+        ]
+        return out
+
+    def test_least_spanning_set_matches_brute_force(self):
+        for tag, a in self.inputs():
+            for states, trans in loopable_state_sets(a.structure):
+                assert least_spanning(states, trans) == oracle_least_spanning(states, trans), (tag, states)
+
+    def test_least_spanning_set_of_an_image_matches_brute_force(self):
+        # two loopable state sets with one quotient image admit an image I,
+        # within the quotient transitions both have, when the transitions
+        # of each over I connect it strongly; every such I is tried
+        checked = 0
+        for tag, a in self.inputs():
+            proj = rightcon_quotient(a).projection
+            by_states: dict = {}
+            for states, trans in loopable_state_sets(a.structure):
+                labels = {(p, sym, q): (proj[p], sym, proj[q]) for (p, sym, q) in trans}
+                by_states.setdefault(frozenset(proj[q] for q in states), []).append((states, labels))
+            for group in by_states.values():
+                for pair in itertools.combinations(group, 2):
+                    common = sorted(set(pair[0][1].values()) & set(pair[1][1].values()))
+                    for size in range(1, len(common) + 1):
+                        for chosen in itertools.combinations(common, size):
+                            images = [{e: y for e, y in labels.items() if y in chosen} for _, labels in pair]
+                            if not all(naive_transitions_connect(s, set(i)) for (s, _), i in zip(pair, images)):
+                                continue
+                            for (states, labels), image in zip(pair, images):
+                                want = oracle_least_spanning(states, labels, image)
+                                assert least_spanning(states, labels, image) == want, (tag, states, chosen)
+                                checked += 1
+        assert checked > 100
+
+    def test_more_edges_than_the_recursion_limit(self):
+        # a 40-state cycle on 26 letters: 1,040 edges, each state's edges
+        # all to the next state; the least spanning set is the a-cycle
+        n, letters = 40, "abcdefghijklmnopqrstuvwxyz"
+        edges = [(q, c, (q + 1) % n) for q in range(n) for c in letters]
+        assert least_spanning(frozenset(range(n)), edges) == {(q, "a", (q + 1) % n) for q in range(n)}
+
+    def test_small_capacity_stops_the_search(self):
+        sets = loopable_state_sets(random_dma(8, "c/10").structure)
+        states, trans = max(sets, key=lambda pair: (len(pair[1]), sorted(pair[1])))
+        assert least_spanning(states, trans) is not None
+        with pytest.raises(CapacityExceeded):
+            least_spanning(states, trans, budget=Budget("spanning search nodes", 10))
 
 
 class TestChainClasses:
