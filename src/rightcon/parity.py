@@ -10,6 +10,12 @@ leaf-tracking construction yields emitted priorities whose minimal
 infinitely-occurring value is odd exactly on accepted runs.  Comparing two
 acceptors then reduces to a threshold-subgraph cycle search on the product.
 
+The state partition, which outputs no witness, reads a state-Muller table
+through its alternating cycle decomposition instead (Casares, Colcombet &
+Fijalkow, ICALP 2021): one tree per SCC of the state graph over the loops
+the automaton has, so its view has no leaf that no run inside one SCC can
+use.  Every other caller, and so every witness, stays on the Zielonka view.
+
 Everything on this path is numbered: a ParityView numbers its (state,
 leaf) pairs and tabulates their steps when it is built, the pair product
 numbers its nodes breadth first and keeps its edges as int tuples, and the
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded
 from .graph import bfs_path, sccs
+from .loops import _loopable_scc, _state_graph
 from .model import (
     Acceptor,
     Buchi,
@@ -43,25 +50,40 @@ def as_parity(acc: Buchi | CoBuchi, state_count: int) -> Parity:
     return Parity(tuple(0 if q in acc.avoided else 1 for q in range(state_count)))
 
 
-def _maximal(sets) -> list[frozenset]:
-    """The inclusion-maximal sets, in a hash-independent order."""
+def _by_reprs(s) -> list[str]:
+    return sorted(map(repr, s))
+
+
+def _maximal(sets, order=_by_reprs) -> list[frozenset]:
+    """The inclusion-maximal sets, sorted by `order`, so in a
+    hash-independent order."""
     kept: list[frozenset] = []
     for s in sorted(sets, key=len, reverse=True):
         if not any(s < k for k in kept):
             kept.append(s)
-    return sorted(kept, key=lambda s: sorted(map(repr, s)))
+    return sorted(kept, key=order)
 
 
-def _muller_children(label: frozenset, table: frozenset) -> list[frozenset]:
+def _muller_children(label: frozenset, table: frozenset, loops=None) -> list[frozenset]:
     """Maximal proper nonempty subsets of `label` with the opposite verdict.
 
     Below a rejecting label these are the maximal table entries inside it.
     Below an accepting one every set between a maximal non-entry and the
     label is an entry, so removing one color at a time and passing through
-    entries only reaches them all.
+    entries only reaches them all.  They come sorted by their colors'
+    reprs.
+
+    When `loops` is given, it lists the maximal loops inside a set of
+    states, and only loops count: each set reached is split into its loops
+    first, and the children come sorted by their sorted states.  The
+    search still reaches every maximal rejecting loop R below an accepting
+    label: removing a state outside R leaves R inside one loop, which is R
+    or an accepting loop strictly between R and the label.
     """
+    order = sorted if loops else _by_reprs
     if label not in table:
-        return _maximal(e for e in table if e < label)
+        inside = [e for e in table if e < label]
+        return _maximal([e for e in inside if loops(e) == [e]] if loops else inside, order)
     found = set()
     seen = {label}
     stack = [label]
@@ -69,13 +91,14 @@ def _muller_children(label: frozenset, table: frozenset) -> list[frozenset]:
         entry = stack.pop()
         for c in entry:
             y = entry - {c}
-            if y and y not in seen:
-                seen.add(y)
-                if y in table:
-                    stack.append(y)
-                else:
-                    found.add(y)
-    return _maximal(found)
+            for y in loops(y) if loops else (y,):
+                if y and y not in seen:
+                    seen.add(y)
+                    if y in table:
+                        stack.append(y)
+                    else:
+                        found.add(y)
+    return _maximal(found, order)
 
 
 def _parity_children(label: frozenset, colors: tuple[int, ...]) -> list[frozenset]:
@@ -122,9 +145,12 @@ class AlternatingTree:
             def children(label):
                 return _muller_children(label, table)
 
-        self.nodes: list[_TreeNode] = []
-        self.nodes.append(_TreeNode(colors, offset, -1))
-        queue = deque([0])
+        self._grow([(colors, offset)], children)
+
+    def _grow(self, roots, children) -> None:
+        """Number the nodes breadth first from the (label, priority) roots."""
+        self.nodes: list[_TreeNode] = [_TreeNode(label, priority, -1) for label, priority in roots]
+        queue = deque(range(len(self.nodes)))
         while queue:
             i = queue.popleft()
             node = self.nodes[i]
@@ -136,6 +162,10 @@ class AlternatingTree:
         for i in reversed(range(len(self.nodes))):
             n = self.nodes[i]
             n.leftmost_leaf = i if not n.children else self.nodes[n.children[0]].leftmost_leaf
+
+    def start_leaves(self, state_count: int) -> list[int]:
+        """The leaf a run from each automaton state starts at."""
+        return [self.nodes[0].leftmost_leaf] * state_count
 
     def advance(self, leaf: int, color) -> tuple[int, int]:
         """Process one emitted color: returns (next leaf, emitted priority).
@@ -158,13 +188,111 @@ class AlternatingTree:
         return self.nodes[nxt].leftmost_leaf, node.priority
 
 
+# The priority of a step between two SCCs.  A run takes finitely many, so
+# any fixed value will do.
+_BETWEEN_SCCS = 0
+
+
+class AcdTree(AlternatingTree):
+    """Alternating cycle decomposition of a state-Muller table (Casares,
+    Colcombet & Fijalkow, ICALP 2021): a forest of trees over loops.
+
+    Each nontrivial SCC of the state graph roots a tree; a node's children
+    are the maximal loops (strongly connected state sets) inside its label
+    with the opposite verdict, `_muller_children`'s rule with each set split
+    into its loops.  A state on no loop roots a one-node tree.  Priorities
+    are as in the Zielonka tree, per root.  The colors are states, and a run
+    at state q sits at a leaf of T_q, the nodes whose label holds q.
+    """
+
+    def __init__(self, structure, acc: MullerStates):
+        succ, pred = _state_graph(structure)
+        table = acc.table
+        split: dict = {}
+
+        def loops(states: frozenset) -> list[frozenset]:
+            """The loopable SCCs of `states`, by least state."""
+            if len(states) < 2:
+                # a single state is a loop only with its self-loop
+                return [states] if any(q in structure.delta[q] for q in states) else []
+            if states not in split:
+                rest = 0
+                for q in states:
+                    rest |= 1 << q
+                out = []
+                while rest:
+                    v = (rest & -rest).bit_length() - 1
+                    comp = _loopable_scc(succ, pred, v, rest)
+                    rest &= ~(comp or 1 << v)
+                    if comp:
+                        out.append(frozenset(q for q in states if comp >> q & 1))
+                split[states] = out
+            return split[states]
+
+        tops = loops(frozenset(range(structure.state_count)))
+        self._grow([(s, 1 if s in table else 0) for s in tops], lambda label: _muller_children(label, table, loops))
+        # a state on no loop gets a node of its own, which no step stays in
+        on_loops = frozenset().union(*tops)
+        for q in range(structure.state_count):
+            if q not in on_loops:
+                self.nodes.append(_TreeNode(frozenset([q]), _BETWEEN_SCCS, -1))
+        self.starts = [0] * structure.state_count
+        for r, node in enumerate(self.nodes):
+            if node.parent < 0:
+                for q in node.label:
+                    self.starts[q] = self._down(r, q)
+
+    def _down(self, i: int, q: int) -> int:
+        """The leftmost leaf of T_q below node i, which holds q."""
+        nodes = self.nodes
+        while True:
+            for c in nodes[i].children:
+                if q in nodes[c].label:
+                    i = c
+                    break
+            else:
+                return i
+
+    def start_leaves(self, state_count: int) -> list[int]:
+        return self.starts
+
+    def advance(self, leaf: int, color: int) -> tuple[int, int]:
+        """Process a step to state `color` from a state whose leaf is `leaf`.
+
+        The deepest node on the leaf's branch that holds the state emits
+        its priority, and the run moves on to the next of its children
+        after the one on the branch (from the first, when the leaf itself
+        emits), cyclically, among those that hold the state, and down to
+        the leftmost leaf of T_state; with no such child it stays at that
+        node.  A step out of the tree, to another SCC, enters the state's
+        own start leaf.
+        """
+        nodes = self.nodes
+        below, i = -1, leaf
+        node = nodes[i]
+        while color not in node.label:
+            if node.parent < 0:
+                return self.starts[color], _BETWEEN_SCCS
+            below, i = i, node.parent
+            node = nodes[i]
+        kids = node.children
+        if kids:
+            k = kids.index(below) + 1 if below >= 0 else 0
+            for c in kids[k:] + kids[:k]:
+                if color in nodes[c].label:
+                    return self._down(c, color), node.priority
+        return i, node.priority
+
+
 class ParityView:
     """Deterministic edge-colored parity machine for an acceptor.
 
     Its states are the (automaton state, leaf) pairs reachable from
-    (q, leftmost leaf of the root) for each automaton state q, the leaves
-    being those of the acceptance's AlternatingTree (Büchi and co-Büchi
-    are read as their parity colorings).  They are numbered breadth first
+    (q, its start leaf) for each automaton state q, the leaves being those
+    of the tree `_tree` builds: the acceptance's AlternatingTree (Büchi and
+    co-Büchi are read as their parity colorings), whose runs all start at
+    the leftmost leaf of the root.  The tree's `advance` moves a run on by
+    one step.  They are numbered breadth first
     when the view is built, the roots first, so that automaton state q is
     view state q.  Reading symbol index i from view state s leads to
     nxt[s*k + i] and emits priority pri[s*k + i], over k symbols.  The
@@ -175,21 +303,13 @@ class ParityView:
     def __init__(self, acceptor: Acceptor):
         self.acceptor = acceptor
         structure = acceptor.structure
-        acc = acceptor.acceptance
-        transition_colors = isinstance(acc, MullerTransitions)
-        if transition_colors:
-            colors = frozenset(structure.all_transitions())
-        else:
-            colors = frozenset(range(structure.state_count))
-        if isinstance(acc, (Buchi, CoBuchi)):
-            acc = as_parity(acc, structure.state_count)
-        self.tree = tree = AlternatingTree(colors, acc)
-        root_leaf = tree.nodes[0].leftmost_leaf
+        transition_colors = isinstance(acceptor.acceptance, MullerTransitions)
+        self.tree = tree = self._tree()
         symbols = structure.alphabet.symbols
         delta = structure.delta
         self.k = len(symbols)
         # the (automaton state, leaf) pair of each view state
-        self.states = [(q, root_leaf) for q in range(structure.state_count)]
+        self.states = list(enumerate(tree.start_leaves(structure.state_count)))
         ids = {s: q for q, s in enumerate(self.states)}
         self.nxt: list[int] = []
         self.pri: list[int] = []
@@ -204,14 +324,42 @@ class ParityView:
                 self.nxt.append(t)
                 self.pri.append(priority)
 
+    def _tree(self) -> AlternatingTree:
+        """The Zielonka tree of the acceptance over its colors."""
+        structure = self.acceptor.structure
+        acc = self.acceptor.acceptance
+        if isinstance(acc, MullerTransitions):
+            colors = frozenset(structure.all_transitions())
+        else:
+            colors = frozenset(range(structure.state_count))
+        if isinstance(acc, (Buchi, CoBuchi)):
+            acc = as_parity(acc, structure.state_count)
+        return AlternatingTree(colors, acc)
+
     def initial(self, q: int | None = None) -> int:
         """The view state of automaton state q, by default the initial one."""
         return self.acceptor.structure.initial if q is None else q
 
 
-# Most product nodes pair_product numbers before it gives up.  The tests,
-# the catalog fixtures and the benchmark inputs build at most about 22,000;
-# a partition product just below the bound peaks near 250 MB.
+class AcdView(ParityView):
+    """The ParityView that partitions states: for a state-Muller table its
+    tree is the AcdTree, whose leaves are those a run inside one SCC can
+    use; for every other acceptance it is the Zielonka tree.  A view state
+    is then (q, leaf of T_q), and view state q is (q, its start leaf)."""
+
+    def _tree(self) -> AlternatingTree:
+        acc = self.acceptor.acceptance
+        if isinstance(acc, MullerStates):
+            return AcdTree(self.acceptor.structure, acc)
+        return super()._tree()
+
+
+# Most product nodes pair_product numbers before it gives up.  The catalog
+# fixtures and the benchmark inputs build at most 1,631 and the tests at
+# most 7,840, apart from the 187,230 of the partition of
+# random_dma(18, "x/0", 3, 8).  The partition of random_dma(19, "x/0", 3, 8),
+# 265,092 nodes, peaks at 188 MB of process memory (Python 3.11), so one
+# just below the bound takes about 210 MB.
 PRODUCT_CAPACITY = 300_000
 
 

@@ -301,6 +301,25 @@ def naive_transitions_connect(states, t_set):
     return True
 
 
+def brute_acd(acceptor):
+    """The alternating cycle decomposition of a state-table acceptor, by
+    brute force: one tree per SCC that holds a loop, that is per maximal
+    loop, as nested (states, accepting, children) triples.  A node's
+    children are the maximal loops inside its states with the opposite
+    verdict, sorted by their sorted states; the loops are
+    brute_loopable_state_sets' and their verdicts naive_verdict's."""
+    verdict = {s: naive_verdict(acceptor.acceptance, s, t) for s, t in brute_loopable_state_sets(acceptor.structure)}
+
+    def maximal(sets):
+        return sorted((s for s in sets if not any(s < t for t in sets)), key=sorted)
+
+    def node(states):
+        flipped = [s for s in verdict if s < states and verdict[s] != verdict[states]]
+        return states, verdict[states], [node(s) for s in maximal(flipped)]
+
+    return [node(s) for s in maximal(list(verdict))]
+
+
 def oracle_least_spanning(states, edges, image=None):
     """The (size, sorted)-least subset of `edges` that connects `states`
     strongly, or None.  When `image` is given it maps the edges the subset

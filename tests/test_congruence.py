@@ -170,6 +170,9 @@ class TestQuotient:
         inputs += [
             (f"dma/{n}/{i}", random_dma(n, f"partition/{i}")) for n, ids in draws.items() for i in ids
         ]
+        # state-table draws of 3 to 6 states, which the partition reads
+        # through the ACD view
+        inputs += [(f"x/{n}/{i}", random_dma(n, f"x/{i}")) for n in range(3, 7) for i in range(15)]
         merged = set()
         for name, a in inputs:
             blocks = partition_language_equivalent(a)
@@ -188,8 +191,8 @@ class TestQuotient:
         assert {m for m in merged if m.startswith("dma/")} == {"dma/6/4", "dma/8/1", "dma/9/4"}
 
     def test_product_capacity_stops_a_blowup(self, monkeypatch, tmp_path):
-        # the partition product of this draw pairs 1,417 parity states;
-        # unbounded, its quotient runs half a minute to about 800 MB
+        # the partition product of this draw pairs 688 parity states into
+        # 187,230 nodes, past the patched bound but within the default one
         a = random_dma(18, "x/0", 3, 8)
         monkeypatch.setattr(parity, "PRODUCT_CAPACITY", 50_000)
         start = time.perf_counter()
@@ -200,6 +203,14 @@ class TestQuotient:
         path = tmp_path / "x0.oaf"
         path.write_text(print_oaf(a))
         assert main(["quotient", str(path), "-o", str(tmp_path / "q.oaf")]) == 4
+
+    def test_eighteen_states_partition_within_the_default_capacity(self):
+        # the partition's ACD view has 688 states where the Zielonka view
+        # has 1,417, whose product stops at PRODUCT_CAPACITY
+        start = time.perf_counter()
+        q = rightcon_quotient(random_dma(18, "x/0", 3, 8))
+        assert time.perf_counter() - start < 10
+        assert len(q.classes) == 18
 
     def test_refines_quotient(self):
         for name in ("fig3_M", "fig5_Bbad", "L1", "fig7_bowtie"):

@@ -1,11 +1,22 @@
-"""The parity translation's tree, against a brute-force subset search."""
+"""The parity translation's trees, against brute-force subset searches,
+and the partition's view against naive runs."""
 
+import itertools
 import random
 
-from rightcon import convert, random_dma, wagner_family
-from rightcon.parity import ParityView
+from rightcon import LassoWord, convert, random_dma, wagner_family
+from rightcon.parity import AcdTree, AcdView, ParityView
 
-from helpers import ACCEPTANCE_KINDS, brute_flipped_children, naive_verdict, random_acceptor
+from helpers import (
+    ACCEPTANCE_KINDS,
+    all_fixtures,
+    brute_acd,
+    brute_flipped_children,
+    naive_accepts,
+    naive_strongly_connected,
+    naive_verdict,
+    random_acceptor,
+)
 
 
 def _tree_inputs():
@@ -45,3 +56,76 @@ def test_tree_children_match_brute_force():
             for c in node.children:
                 assert tree.nodes[c].priority == node.priority + 1, tag
                 assert tree.nodes[c].parent == i, tag
+
+
+def _acd_draws():
+    return [(f"acd/{i}", random_dma(4 + i % 3, f"acd/{i}")) for i in range(40)]
+
+
+def test_acd_matches_brute_force():
+    muller = [(tag, a) for tag, a in _tree_inputs() if a.acceptance.kind == "muller"]
+    for tag, a in muller + _acd_draws():
+        tree = AcdTree(a.structure, a.acceptance)
+        nodes = tree.nodes
+
+        def nested(i):
+            node = nodes[i]
+            accepting = node.priority % 2 == 1
+            for c in node.children:
+                assert nodes[c].priority == node.priority + 1 and nodes[c].parent == i, tag
+            return node.label, accepting, [nested(c) for c in node.children]
+
+        roots = [i for i, node in enumerate(nodes) if node.parent < 0]
+        # the roots split the states: the SCCs that hold a loop, and a
+        # one-node tree for each state on no loop
+        assert sorted(q for i in roots for q in nodes[i].label) == list(range(a.structure.state_count)), tag
+        loops = [i for i in roots if naive_strongly_connected(a.structure, nodes[i].label)]
+        for i in roots:
+            if i not in loops:
+                assert len(nodes[i].label) == 1 and not nodes[i].children, tag
+        # brute_acd sees the reachable states only
+        reachable = a.structure.reachable_states()
+        assert [nested(i) for i in loops if nodes[i].label <= reachable] == brute_acd(a), tag
+
+
+def _view_accepts(view, w, state):
+    """Whether the least priority the view's run on w from view state
+    `state` emits infinitely often is odd."""
+    index = {sym: i for i, sym in enumerate(view.acceptor.alphabet.symbols)}
+    k = view.k
+    s = state
+    for sym in w.spoke:
+        s = view.nxt[s * k + index[sym]]
+    # each cycle reading from a boundary state; they repeat from the first
+    # boundary state seen twice
+    boundary: dict = {}
+    emitted = []
+    while s not in boundary:
+        boundary[s] = len(emitted)
+        least = None
+        for sym in w.cycle:
+            e = s * k + index[sym]
+            least = view.pri[e] if least is None else min(least, view.pri[e])
+            s = view.nxt[e]
+        emitted.append(least)
+    return min(emitted[boundary[s]:]) % 2 == 1
+
+
+def test_acd_view_runs_match_naive_acceptance():
+    muller = [(name, a) for name, a in all_fixtures() if a.acceptance.kind == "muller"]
+    for tag, a in muller + _acd_draws():
+        view = AcdView(a)
+        assert isinstance(view.tree, AcdTree), tag
+        syms = a.alphabet.symbols
+        words = [w for n in range(4) for w in itertools.product(syms, repeat=n)]
+        # naive verdicts by the state the spoke reaches and the cycle
+        naive: dict = {}
+        for q in range(a.structure.state_count):
+            assert view.states[q][0] == q, tag
+            for spoke in words:
+                p = a.structure.run(q, spoke)
+                for cycle in words[1:]:
+                    w = LassoWord(spoke, cycle)
+                    if (p, cycle) not in naive:
+                        naive[p, cycle] = naive_accepts(a, w, q)
+                    assert _view_accepts(view, w, q) == naive[p, cycle], (tag, q, w)
