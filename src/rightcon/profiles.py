@@ -20,10 +20,11 @@ class ProfileMonoid:
     A profile keeps, per source state, only the target and the loop key of
     the visited sets: the ω-verdicts and quotient orbits of a word's
     products read nothing else, and are read from these two tables
-    (`LoopVerdicts`, `_settles`), not from the word.  The elements are
-    those of the breadth-first closure `_closure`, drained whole, in the
-    order it finds them; the shortlex-least word of each is its
-    representative.
+    (`LoopVerdicts`, `_on_cycles`), not from the word.  The elements are
+    those of the breadth-first closure `_closure` on numbered (target, key)
+    cells, drained whole, in the order it finds them; the shortlex-least
+    word of each is its representative.  `by_key` maps each element's
+    (targets, keys) to its index.
 
     `right[i][a]` is elements[i] followed by letter a, whose element is
     `letters[a]`.  Profiles form a congruence, so walking `right` from i
@@ -32,52 +33,71 @@ class ProfileMonoid:
 
     def __init__(self, acceptor: Acceptor, capacity: int = MONOID_CAPACITY):
         self.acceptor = acceptor
-        self.by_key: dict = {}
         self.letters: list[int] = []
         self.right: list[list[int]] = []
-        self.elements = list(_closure(acceptor, capacity, self.by_key, self.letters, self.right))
+        self.elements = list(_closure(acceptor, capacity, self.letters, self.right))
+        self.by_key = {(e.targets, e.keys): i for i, e in enumerate(self.elements)}
 
 
 def profile_monoid(acceptor: Acceptor, capacity: int = MONOID_CAPACITY) -> ProfileMonoid:
     return ProfileMonoid(acceptor, capacity)
 
 
-class _Join(dict):
-    """`join(k, keys[t])` for one letter's keys, looked up by the pair
-    (k, t) and computed on first use."""
+class _Cells(dict):
+    """Numbers each (target, key) pair on first lookup; cell c is the pair
+    (target[c], key[c])."""
 
-    def __init__(self, join, keys):
-        self.join = join
-        self.keys = keys
+    def __init__(self):
+        self.target, self.key = [], []
 
-    def __missing__(self, pair):
-        k, t = pair
-        self[pair] = key = self.join(k, self.keys[t])
-        return key
+    def __missing__(self, pair) -> int:
+        self[pair] = c = len(self.target)
+        self.target.append(pair[0])
+        self.key.append(pair[1])
+        return c
 
 
-def _closure(acceptor: Acceptor, capacity: int, by_key: dict, letters: list, right: list):
+class _Step(dict):
+    """One letter's map from cell to cell, (t, k) to (targets[t], join(k,
+    keys[t])), computed on first use."""
+
+    def __init__(self, cells: _Cells, targets, keys, join):
+        self.cells, self.targets, self.keys, self.join = cells, targets, keys, join
+
+    def __missing__(self, c: int) -> int:
+        cells = self.cells
+        t = cells.target[c]
+        self[c] = d = cells[self.targets[t], self.join(cells.key[c], self.keys[t])]
+        return d
+
+
+def _closure(acceptor: Acceptor, capacity: int, letters: list, right: list):
     """Yield each element of the profile monoid when it is first found.
 
-    The letters come first, keyed on single transitions.  Then each element,
-    in the order found, is extended by each letter g: a source with target t
-    and key k gets target g.targets[t] and key `Acceptance.join(k,
-    g.keys[t])`, memoised per (k, g, t).  A product is looked up by its
-    (targets, keys) before a Profile is built for it.  Fills `by_key` with
-    each element's index, `letters` with each letter's and `right` with each
-    extended element's row, so a consumer that stops early leaves them
-    partial.
+    Each (target, key) pair met is numbered once as a cell, and an element
+    is coded as the tuple of its cells, one per source state.  The letters
+    come first, keyed on single transitions.  Then each element, in the
+    order found, is extended by each letter a through a's step table,
+    which sends cell (t, k) to (delta(t, a), `Acceptance.join(k,
+    keys_a[t])`); a product is looked up by its code before a Profile is
+    built for it from its cells.  Fills `letters` with each letter's
+    element index and `right` with each extended element's row, so a
+    consumer that stops early leaves them partial.
     """
     acceptance = acceptor.acceptance
     delta = acceptor.structure.delta
-    elements: list[Profile] = []
+    cells = _Cells()
+    codes: list[tuple] = []
+    representatives: list[tuple] = []
+    index: dict = {}
 
-    def add(key, representative) -> Profile:
-        if len(elements) >= capacity:
+    def add(code, representative) -> Profile:
+        if len(codes) >= capacity:
             raise CapacityExceeded("profile monoid", capacity)
-        by_key[key] = len(elements)
-        elements.append(Profile(*key, representative))
-        return elements[-1]
+        index[code] = len(codes)
+        codes.append(code)
+        representatives.append(representative)
+        return Profile(tuple(map(cells.target.__getitem__, code)), tuple(map(cells.key.__getitem__, code)), representative)
 
     steps = []
     for a, sym in enumerate(acceptor.alphabet.symbols):
@@ -86,19 +106,20 @@ def _closure(acceptor: Acceptor, capacity: int, by_key: dict, letters: list, rig
             acceptance.loop_key(frozenset([t]), frozenset([(q, sym, t)]))
             for q, t in enumerate(targets)
         )
-        steps.append((sym, targets.__getitem__, _Join(acceptance.join, keys).__getitem__))
-        if (targets, keys) not in by_key:
-            yield add((targets, keys), (sym,))
-        letters.append(by_key[targets, keys])
+        steps.append((sym, _Step(cells, targets, keys, acceptance.join).__getitem__))
+        code = tuple(map(cells.__getitem__, zip(targets, keys)))
+        if code not in index:
+            yield add(code, (sym,))
+        letters.append(index[code])
     # breadth-first: elements are extended in the order they are found
-    for e in elements:
+    for code, representative in zip(codes, representatives):
         row = []
-        for sym, target, join in steps:
-            key = tuple(map(target, e.targets)), tuple(map(join, zip(e.keys, e.targets)))
-            i = by_key.get(key)
+        for sym, step in steps:
+            product = tuple(map(step, code))
+            i = index.get(product)
             if i is None:
-                yield add(key, e.representative + (sym,))
-                i = len(elements) - 1
+                yield add(product, representative + (sym,))
+                i = len(codes) - 1
             row.append(i)
         right.append(row)
 
@@ -110,15 +131,15 @@ def omega_accept(acceptor: Acceptor, s: Profile, t: Profile, from_state: int) ->
     return LoopVerdicts(acceptor, t)[s.targets[from_state]]
 
 
-def _settles(step, c: int) -> bool:
-    """Does the orbit c, step[c], step[step[c]], ... of a class map reach a
-    fixed point?  Walks until a class repeats and asks whether that class
-    maps to itself."""
-    seen = set()
-    while c not in seen:
-        seen.add(c)
-        c = step[c]
-    return step[c] == c
+def _on_cycles(f) -> list[int]:
+    """f composed with itself until 2^j >= len(f): an orbit of f enters its
+    cycle within len(f) - 1 steps, so every image lies on a cycle.  x's
+    orbit settles iff its image is a fixed point of f, and f's cycles are
+    those through the images."""
+    g = f
+    for _ in range((len(f) - 1).bit_length()):
+        g = list(map(g.__getitem__, g))
+    return g
 
 
 def is_respective(acceptor: Acceptor):
@@ -128,7 +149,9 @@ def is_respective(acceptor: Acceptor):
     Each element e of the monoid is tested as the closure finds it, and the
     first failure ends the closure.  The verdicts of rep(e)^omega come from
     e's tables, and the orbit of [x] under rep(e) is that of the class map
-    c -> [e.targets[q]] for any q in c."""
+    c -> [e.targets[q]] for any q in c, whose unsettled classes are found
+    once per distinct e.targets; the verdicts are read only when some class
+    does not settle."""
     return _is_respective(acceptor, rightcon_quotient(acceptor))
 
 
@@ -138,12 +161,19 @@ def _is_respective(acceptor: Acceptor, quotient: Quotient):
     members = [min(c) for c in quotient.classes]
     structure = acceptor.structure
     reachable = sorted(proj)
-    for e in _closure(acceptor, MONOID_CAPACITY, {}, [], []):
-        targets = e.targets
-        step = [proj[targets[q]] for q in members]
+    unsettled_by_targets: dict = {}
+    for e in _closure(acceptor, MONOID_CAPACITY, [], []):
+        unsettled = unsettled_by_targets.get(e.targets)
+        if unsettled is None:
+            step = [proj[e.targets[q]] for q in members]
+            unsettled_by_targets[e.targets] = unsettled = {
+                c for c, d in enumerate(_on_cycles(step)) if step[d] != d
+            }
+        if not unsettled:
+            continue
         verdicts = LoopVerdicts(acceptor, e)
         for q in reachable:
-            if not _settles(step, proj[q]) and verdicts[q]:
+            if proj[q] in unsettled and verdicts[q]:
                 x = shortest_word_to(structure, structure.initial, q)
                 return False, (x, e.representative)
     return True, None
@@ -159,7 +189,9 @@ def respective_pair_check(acceptor: Acceptor, x, u) -> bool:
     structure = acceptor.structure
     qs = quotient.structure
     start = quotient.projection[structure.run(structure.initial, x)]
-    return _settles([qs.run(c, u) for c in range(qs.state_count)], start)
+    step = [qs.run(c, u) for c in range(qs.state_count)]
+    end = _on_cycles(step)[start]
+    return step[end] == end
 
 
 def _times(right, i: int, word) -> int:
@@ -215,31 +247,19 @@ def _syntactic_classes(acceptor: Acceptor, proj: dict, elements, letters, right)
         cls = new
 
 
-def _cycles(targets):
-    """Yield each cycle of the map q -> targets[q] as a list of its states."""
-    seen = set()
-    for q in range(len(targets)):
-        walk = []
-        while q not in seen:
-            seen.add(q)
-            walk.append(q)
-            q = targets[q]
-        if q in walk:
-            yield walk[walk.index(q):]
-
-
 def _aperiodic(e: Profile) -> bool:
     """Do e's powers reach a fixed point, e^m = e^{m+1}?  A join only grows
     a key, so they do exactly when every cycle of e.targets is a fixed point."""
-    return all(len(c) == 1 for c in _cycles(e.targets))
+    return all(e.targets[c] == c for c in _on_cycles(e.targets))
 
 
 def _counts(e: Profile, proj: dict) -> bool:
     """Do two of e's powers on their cycle differ in base colour?  All have
     the omega-verdicts of rep(e)^omega, and they send a reachable state round
     the whole cycle of e.targets it enters: so, does such a cycle meet two
-    classes of `proj`?"""
-    return any(len({proj[q] for q in c}) > 1 for c in _cycles(e.targets) if c[0] in proj)
+    classes of `proj`?  It does iff two adjacent states on it do."""
+    g = _on_cycles(e.targets)
+    return any(proj[g[q]] != proj[e.targets[g[q]]] for q in proj)
 
 
 def is_non_counting(acceptor: Acceptor):
@@ -274,13 +294,16 @@ def _is_non_counting(acceptor: Acceptor, quotient: Quotient):
     elements: list[Profile] = []
     letters: list[int] = []
     right: list[list[int]] = []
-    stream = _closure(acceptor, MONOID_CAPACITY, {}, letters, right)
+    stream = _closure(acceptor, MONOID_CAPACITY, letters, right)
     levels = groupby(stream, key=lambda e: len(e.representative))
+    aperiodic: dict = {}
     for _, level in levels:
         level = list(level)
         elements += level
         for e in sorted(level, key=lambda f: f.representative):
-            if _aperiodic(e):
+            if e.targets not in aperiodic:
+                aperiodic[e.targets] = _aperiodic(e)
+            if aperiodic[e.targets]:
                 continue
             if _counts(e, proj):
                 return False, _counting_witness(acceptor, e.representative, proj)

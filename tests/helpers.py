@@ -205,6 +205,31 @@ def naive_profile(acceptor, word):
     return tuple(targets), tuple(keys)
 
 
+def naive_monoid(acceptor):
+    """(representatives, letters, right) of the profile monoid, by a
+    breadth-first search over words: each word's (targets, keys) is
+    simulated with naive_profile, a word is kept when no kept word has its
+    profile, and kept words are extended by each letter in alphabet order.
+    `right[i][a]` is the index of the profile of representative i followed
+    by letter a."""
+    symbols = acceptor.alphabet.symbols
+    index: dict = {}
+    words: list = []
+
+    def find(word):
+        profile = naive_profile(acceptor, word)
+        if profile not in index:
+            index[profile] = len(words)
+            words.append(word)
+        return index[profile]
+
+    letters = [find((sym,)) for sym in symbols]
+    right = []
+    for word in words:  # grows while it is read
+        right.append([find(word + (sym,)) for sym in symbols])
+    return words, letters, right
+
+
 # ------------------------------------------------------ naive parity tree
 
 

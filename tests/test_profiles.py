@@ -21,13 +21,14 @@ from rightcon import (
     rightcon_quotient,
 )
 from rightcon.errors import CapacityExceeded
-from rightcon.model import Alphabet
+from rightcon.model import Alphabet, Profile
 from rightcon.profiles import (
     MONOID_CAPACITY,
     _aperiodic,
     _closure,
     _counting_by_classes,
     _counts,
+    _on_cycles,
     _syntactic_classes,
 )
 from rightcon.semantics import LoopVerdicts, _walk
@@ -36,6 +37,7 @@ from helpers import (
     ACCEPTANCE_KINDS,
     all_fixtures,
     naive_accepts,
+    naive_monoid,
     naive_profile,
     naive_verdict,
     oracle_respective_bruteforce,
@@ -238,16 +240,29 @@ class TestProfileMonoid:
     def test_closure_streams_the_monoid_in_order(self):
         for name, a in _small_inputs():
             elements = profile_monoid(a).elements
-            assert list(_closure(a, MONOID_CAPACITY, {}, [], [])) == elements, name
+            assert list(_closure(a, MONOID_CAPACITY, [], [])) == elements, name
             # each element is yielded when found, before later ones are
             # searched for: a capacity one short of the monoid still yields
             # every element but the last
             n = len(elements)
-            stream = _closure(a, n - 1, {}, [], [])
+            stream = _closure(a, n - 1, [], [])
             assert list(islice(stream, n - 1)) == elements[:-1], name
             if n > 1:
                 with pytest.raises(CapacityExceeded):
                     next(stream)
+
+    def test_closure_matches_the_naive_monoid(self):
+        # the same representatives in the same order, and the same letters
+        # and right table, as a breadth-first search over simulated words
+        rng = random.Random("profiles/naive_monoid")
+        inputs = all_fixtures()
+        inputs += [(f"{n}/nc/{i}", random_dma(n, f"nc/{i}")) for n in (3, 4, 5) for i in range(20)]
+        for kind in ACCEPTANCE_KINDS:
+            inputs += [(f"{kind}/{i}", random_acceptor(rng, max_states=4, kinds=(kind,))) for i in range(6)]
+        for name, a in inputs:
+            letters, right = [], []
+            representatives = [e.representative for e in _closure(a, MONOID_CAPACITY, letters, right)]
+            assert (representatives, letters, right) == naive_monoid(a), name
 
     def test_transition_muller_monoid_stays_small(self):
         # keyed on full visited-transition sets, this acceptor's monoid
@@ -258,6 +273,62 @@ class TestProfileMonoid:
         assert a.acceptance.kind == "tmuller"
         assert len(profile_monoid(a).elements) < 1000
         assert is_respective(a)[0] == oracle_respective_bruteforce(a)[0]
+
+
+def _iterate(f, x, times):
+    for _ in range(times):
+        x = f[x]
+    return x
+
+
+def _functional_graphs():
+    """Maps of n = 1..40 states: random ones, an (n-1)-step path into a
+    fixed point, one n-cycle (n = 1 gives the single state), and several
+    cycles of mixed length with tails."""
+    rng = random.Random("profiles/on_cycles")
+    maps = [[rng.randrange(n) for _ in range(n)] for n in range(1, 41) for _ in range(5)]
+    maps += [list(range(1, n)) + [n - 1] for n in range(1, 41)]
+    maps += [list(range(1, n)) + [0] for n in range(1, 41)]
+    for n in range(12, 41):
+        f, start = [], 0
+        for length in (1, 2, 3, 5):  # cycles on the first 11 states
+            f += [start + (i + 1) % length for i in range(length)]
+            start += length
+        f += [rng.randrange(len(f)) for _ in range(n - 11)]  # tails into them
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inverse = {p: q for q, p in enumerate(perm)}
+        maps.append([perm[f[inverse[q]]] for q in range(n)])
+    return maps
+
+
+class TestOnCycles:
+    def test_matches_iterating_the_map(self):
+        for f in _functional_graphs():
+            n = len(f)
+            g = _on_cycles(f)
+            for x in range(n):
+                h = _iterate(f, x, n)  # on x's cycle, as n steps pass any tail
+                assert g[x] in {_iterate(f, h, k) for k in range(n)}, (f, x)
+                # x's orbit settles iff its image is a fixed point
+                assert (f[g[x]] == g[x]) == (f[h] == h), (f, x)
+
+    def test_aperiodic_and_counts_read_it(self):
+        rng = random.Random("profiles/on_cycles/rules")
+        for f in _functional_graphs():
+            n = len(f)
+            cycles = [{_iterate(f, h, k) for k in range(n)} for h in {_iterate(f, x, n) for x in range(n)}]
+            e = Profile(tuple(f), (None,) * n, ("a",))
+            assert _aperiodic(e) == all(len(c) == 1 for c in cycles), f
+            # proj on the states the map reaches from a random start set
+            reached = set()
+            for q in rng.sample(range(n), rng.randint(1, n)):
+                while q not in reached:
+                    reached.add(q)
+                    q = f[q]
+            proj = {q: rng.randrange(3) for q in sorted(reached)}
+            want = any(len({proj[q] for q in c}) > 1 for c in cycles if c <= reached)
+            assert _counts(e, proj) == want, (f, proj)
 
 
 class TestOmegaAccept:

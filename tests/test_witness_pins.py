@@ -12,8 +12,10 @@ import pytest
 from rightcon import (
     classify,
     equivalent,
+    fixture,
     format_lasso,
     is_non_counting,
+    is_respective,
     random_dma,
     state_equivalent,
 )
@@ -87,6 +89,22 @@ def test_counting_witnesses(i, u, v, lasso):
     assert not verdict
     wu, wv, w, n = witness
     assert ("".join(wu), "".join(wv), format_lasso(w), n) == (u, v, lasso, 1)
+
+
+@pytest.mark.parametrize(
+    "acceptor, x, u",
+    [
+        (fixture("fig3_B"), (), ("a", "b", "c")),
+        (fixture("fig6_BC"), (), ("b",)),
+        (fixture("fig3_M"), (), ("1",)),
+        (random_dma(4, "nc/24"), ("c", "a", "b"), ("a",)),
+        (random_dma(5, "nc/3"), ("b",), ("a", "a", "b")),
+    ],
+)
+def test_respective_witnesses(acceptor, x, u):
+    # the first reachable state, in index order, of the first element the
+    # closure finds whose orbit does not settle on an accepted loop
+    assert is_respective(acceptor) == (False, (x, u))
 
 
 @pytest.mark.parametrize(
