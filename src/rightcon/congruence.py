@@ -31,7 +31,7 @@ from .model import (
     TransitionStructure,
     check_same_alphabet,
 )
-from .parity import AcdView, ParityView, discrepant_components, find_discrepancy, pair_product
+from .parity import ParityView, discrepant_components, find_discrepancy, pair_product
 
 
 def shortest_word_to(structure: TransitionStructure, src: int, dst: int):
@@ -86,24 +86,23 @@ class Quotient:
 def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
     """Partition reachable states by language equality.
 
-    One product of the acceptor's parity machine with itself, rooted at
-    every pair of reachable states, settles all pairs at once: a pair is
+    One product of the acceptor's ParityView with itself, rooted at every
+    pair of reachable states, settles all pairs at once: a pair is
     inequivalent exactly when its root reaches an SCC on which the two
-    copies disagree, the SCCs `find_discrepancy` would accept.  For a
-    state-Muller table the parity machine is built from the alternating
-    cycle decomposition (`AcdView`), whose leaves are per SCC and fewer,
-    and for every other acceptance from the Zielonka tree.  The product
-    numbers its nodes, root pair r as node r, so the predecessor lists and
-    the marks of the nodes reaching such an SCC are indexed by node.  The
-    marks grow after each SCC found, and the search stops once every root
-    is marked: most random acceptors are their own quotient, and the first
-    SCC already splits every pair.  Blocks list states in breadth-first
-    order; each state joins the block of the first earlier representative
-    it is equivalent to.
+    copies disagree, the SCCs `find_discrepancy` would accept.  This is
+    the view every comparison uses, so the partition and the witnesses of
+    `state_equivalent` agree.  The product numbers its nodes, root pair r
+    as node r, so the predecessor lists and the marks of the nodes
+    reaching such an SCC are indexed by node.  The marks grow after each
+    SCC found, and the search stops once every root is marked: most random
+    acceptors are their own quotient, and the first SCC already splits
+    every pair.  Blocks list states in breadth-first order; each state
+    joins the block of the first earlier representative it is equivalent
+    to.
     """
     structure = acceptor.structure
     order = bfs_order(structure.initial, structure.delta.__getitem__)
-    view = AcdView(acceptor)
+    view = ParityView(acceptor)
     # automaton state q is view state q
     roots = list(combinations(order, 2))
     _, edges = pair_product(view, view, roots)

@@ -18,6 +18,10 @@ from .model import (
 )
 
 _KINDS = ("buchi", "cobuchi", "parity", "muller", "tmuller")
+# the directives a file gives at most once, as a trans line per state and
+# symbol and an acc color line per state: a second one is an error at its
+# line, not a silent overwrite
+_ONCE = ("oaf", "type", "alphabet", "states", "initial", "complete")
 # the acc form each type reads
 _ACC_FORM = {
     "buchi": "states", "cobuchi": "states", "parity": "color", "muller": "set", "tmuller": "tset"
@@ -55,7 +59,7 @@ def format_lasso(w: LassoWord) -> str:
 
 
 def parse_oaf(text: str) -> Acceptor:
-    version = None
+    seen = set()  # the _ONCE directives given so far
     kind = None
     alphabet = None
     state_count = None
@@ -90,10 +94,13 @@ def parse_oaf(text: str) -> Acceptor:
             continue
         toks = line.split()
         head = toks[0]
+        if head in _ONCE:
+            if head in seen:
+                fail(no, f"second {head} line")
+            seen.add(head)
         if head == "oaf":
             if len(toks) != 2 or toks[1] != "1":
                 fail(no, "unsupported version")
-            version = 1
         elif head == "type":
             if len(toks) != 2 or toks[1] not in _KINDS:
                 fail(no, f"type must be one of {', '.join(_KINDS)}")
@@ -128,7 +135,10 @@ def parse_oaf(text: str) -> Acceptor:
             elif sub == "color":
                 if len(toks) != 4:
                     fail(no, "acc color needs: state color")
-                acc_colors[state(no, toks[2])] = integer(no, toks[3], "expected a color")
+                q = state(no, toks[2])
+                if q in acc_colors:
+                    fail(no, f"second acc color for state {q}")
+                acc_colors[q] = integer(no, toks[3], "expected a color")
             elif sub == "set":
                 if len(toks) < 3:
                     fail(no, "acc set needs at least one state")
@@ -154,16 +164,11 @@ def parse_oaf(text: str) -> Acceptor:
         else:
             fail(no, f"unknown directive {head!r}")
 
-    if version is None:
+    if "oaf" not in seen:
         fail(0, "missing 'oaf 1' header")
-    if kind is None:
-        fail(0, "missing 'type' line")
-    if alphabet is None:
-        fail(0, "missing 'alphabet' line")
-    if state_count is None:
-        fail(0, "missing 'states' line")
-    if initial is None:
-        fail(0, "missing 'initial' line")
+    for head in ("type", "alphabet", "states", "initial"):
+        if head not in seen:
+            fail(0, f"missing '{head}' line")
     stray = [(no, sub) for sub, no in acc_lines.items() if sub != _ACC_FORM[kind]]
     if stray:
         no, sub = min(stray)

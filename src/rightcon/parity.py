@@ -1,23 +1,19 @@
-"""Exact language comparison via an internal parity translation.
+"""Exact language comparison via an internal parity machine.
 
-Any acceptance condition is turned into a deterministic edge-colored parity
-machine.  Colors are states (or transitions, for transition-table
-acceptance).  The Zielonka tree of the condition over color sets
-(Zielonka, TCS 1998) is read off the acceptance itself: each node's
-children are the maximal proper nonempty subsets of its label with the
-opposite verdict.  The
-leaf-tracking construction yields emitted priorities whose minimal
-infinitely-occurring value is odd exactly on accepted runs.  Comparing two
-acceptors then reduces to a threshold-subgraph cycle search on the product.
+Each acceptor is read as a deterministic edge-colored parity machine, the
+ParityView, whose least priority seen infinitely often is odd exactly on
+accepted runs; its tree comes from the acceptance kind.  Büchi and
+co-Büchi conditions are read as their parity colorings, and a parity
+coloring needs no tree: the step into state q emits q's color, with each
+run of same-parity colors merged into one priority.  A Muller table, of
+states or of transitions, is read through its alternating cycle
+decomposition (Casares, Colcombet & Fijalkow, ICALP 2021): one tree per
+SCC of the state graph over the loops the automaton has, so the view has
+no leaf that no run inside one SCC can use.  Comparing two acceptors then
+reduces to a threshold-subgraph cycle search on the product.
 
-The state partition, which outputs no witness, reads a state-Muller table
-through its alternating cycle decomposition instead (Casares, Colcombet &
-Fijalkow, ICALP 2021): one tree per SCC of the state graph over the loops
-the automaton has, so its view has no leaf that no run inside one SCC can
-use.  Every other caller, and so every witness, stays on the Zielonka view.
-
-Everything on this path is numbered: a ParityView numbers its (state,
-leaf) pairs and tabulates their steps when it is built, the pair product
+Everything on this path is numbered: a ParityView numbers its view
+states and tabulates their steps when it is built, the pair product
 numbers its nodes breadth first and keeps its edges as int tuples, and the
 SCC search runs on adjacency lists indexed by node.  The product stops
 with CapacityExceeded past PRODUCT_CAPACITY nodes.
@@ -30,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded
 from .graph import bfs_path, sccs
-from .loops import _loopable_scc, _state_graph
+from .loops import _edge_graph, _loopable_scc, _reach, _state_graph
 from .model import (
     Acceptor,
     Buchi,
@@ -50,142 +46,63 @@ def as_parity(acc: Buchi | CoBuchi, state_count: int) -> Parity:
     return Parity(tuple(0 if q in acc.avoided else 1 for q in range(state_count)))
 
 
-def _by_reprs(s) -> list[str]:
-    return sorted(map(repr, s))
+def _priorities(colors: tuple[int, ...]) -> list[int]:
+    """Each color's priority once each run of same-parity colors, in
+    increasing order, is merged into one: the least color's parity plus
+    the parity changes up to the color."""
+    levels = sorted(set(colors))
+    rank = {levels[0]: levels[0] % 2}
+    for low, high in zip(levels, levels[1:]):
+        rank[high] = rank[low] + (high - low) % 2
+    return [rank[c] for c in colors]
 
 
-def _maximal(sets, order=_by_reprs) -> list[frozenset]:
-    """The inclusion-maximal sets, sorted by `order`, so in a
+def _maximal(sets) -> list[frozenset]:
+    """The inclusion-maximal sets, sorted by their sorted colors, so in a
     hash-independent order."""
     kept: list[frozenset] = []
     for s in sorted(sets, key=len, reverse=True):
         if not any(s < k for k in kept):
             kept.append(s)
-    return sorted(kept, key=order)
+    return sorted(kept, key=sorted)
 
 
-def _muller_children(label: frozenset, table: frozenset, loops=None) -> list[frozenset]:
-    """Maximal proper nonempty subsets of `label` with the opposite verdict.
+def _muller_children(label: frozenset, table: frozenset, loops) -> list[frozenset]:
+    """The maximal loops strictly inside `label` with the opposite verdict.
 
-    Below a rejecting label these are the maximal table entries inside it.
-    Below an accepting one every set between a maximal non-entry and the
-    label is an entry, so removing one color at a time and passing through
-    entries only reaches them all.  They come sorted by their colors'
-    reprs.
-
-    When `loops` is given, it lists the maximal loops inside a set of
-    states, and only loops count: each set reached is split into its loops
-    first, and the children come sorted by their sorted states.  The
-    search still reaches every maximal rejecting loop R below an accepting
-    label: removing a state outside R leaves R inside one loop, which is R
-    or an accepting loop strictly between R and the label.
+    `loops` splits a set of colors into its loops.  Below a rejecting
+    label the children are the maximal table entries inside it that are
+    loops.  Below an accepting one, removing one color at a time and
+    splitting into loops, through accepting loops only, reaches every
+    maximal rejecting loop R: removing a color outside R leaves R inside
+    one loop, which is R or an accepting loop strictly between R and the
+    label.
     """
-    order = sorted if loops else _by_reprs
     if label not in table:
-        inside = [e for e in table if e < label]
-        return _maximal([e for e in inside if loops(e) == [e]] if loops else inside, order)
+        return _maximal([e for e in table if e < label and loops(e) == [e]])
     found = set()
     seen = {label}
     stack = [label]
     while stack:
         entry = stack.pop()
         for c in entry:
-            y = entry - {c}
-            for y in loops(y) if loops else (y,):
-                if y and y not in seen:
+            for y in loops(entry - {c}):
+                if y not in seen:
                     seen.add(y)
                     if y in table:
                         stack.append(y)
                     else:
                         found.add(y)
-    return _maximal(found, order)
-
-
-def _parity_children(label: frozenset, colors: tuple[int, ...]) -> list[frozenset]:
-    """The one maximal subset of `label` whose least color has the other
-    parity: its states colored at or above the least such color."""
-    least = min(colors[q] for q in label)
-    other = [colors[q] for q in label if (colors[q] - least) % 2]
-    if not other:
-        return []
-    floor = min(other)
-    return [frozenset(q for q in label if colors[q] >= floor)]
+    return _maximal(found)
 
 
 @dataclass
 class _TreeNode:
-    label: frozenset
+    label: frozenset  # its colors
+    states: frozenset  # the states its colors touch
     priority: int
     parent: int
     children: list = field(default_factory=list)
-    leftmost_leaf: int = -1
-
-
-class AlternatingTree:
-    """Zielonka tree of a Muller table or parity coloring over `colors`.
-
-    The root is labelled with every color; each node's children are the
-    maximal proper nonempty subsets of its label with the opposite verdict,
-    in a hash-independent order.  A node's priority is its depth, plus one
-    when the root accepts.
-    """
-
-    def __init__(self, colors: frozenset, acc: MullerStates | MullerTransitions | Parity):
-        if isinstance(acc, Parity):
-            rank = acc.colors
-            offset = min(rank[q] for q in colors) % 2
-
-            def children(label):
-                return _parity_children(label, rank)
-
-        else:
-            table = acc.table
-            offset = 1 if colors in table else 0
-
-            def children(label):
-                return _muller_children(label, table)
-
-        self._grow([(colors, offset)], children)
-
-    def _grow(self, roots, children) -> None:
-        """Number the nodes breadth first from the (label, priority) roots."""
-        self.nodes: list[_TreeNode] = [_TreeNode(label, priority, -1) for label, priority in roots]
-        queue = deque(range(len(self.nodes)))
-        while queue:
-            i = queue.popleft()
-            node = self.nodes[i]
-            for child_label in children(node.label):
-                j = len(self.nodes)
-                self.nodes.append(_TreeNode(child_label, node.priority + 1, i))
-                node.children.append(j)
-                queue.append(j)
-        for i in reversed(range(len(self.nodes))):
-            n = self.nodes[i]
-            n.leftmost_leaf = i if not n.children else self.nodes[n.children[0]].leftmost_leaf
-
-    def start_leaves(self, state_count: int) -> list[int]:
-        """The leaf a run from each automaton state starts at."""
-        return [self.nodes[0].leftmost_leaf] * state_count
-
-    def advance(self, leaf: int, color) -> tuple[int, int]:
-        """Process one emitted color: returns (next leaf, emitted priority).
-
-        The deepest node on the leaf's branch whose label holds the color
-        emits its priority; unless it is the leaf itself, the run moves on
-        to the leftmost leaf of its child after the one on the branch.
-        """
-        below, i = -1, leaf
-        while color not in self.nodes[i].label:
-            if i == 0:
-                # colors outside the root label cannot occur on runs
-                raise AssertionError("color outside tree root")
-            below, i = i, self.nodes[i].parent
-        node = self.nodes[i]
-        if below == -1:
-            return leaf, node.priority
-        k = node.children.index(below)
-        nxt = node.children[(k + 1) % len(node.children)]
-        return self.nodes[nxt].leftmost_leaf, node.priority
 
 
 # The priority of a step between two SCCs.  A run takes finitely many, so
@@ -193,165 +110,190 @@ class AlternatingTree:
 _BETWEEN_SCCS = 0
 
 
-class AcdTree(AlternatingTree):
-    """Alternating cycle decomposition of a state-Muller table (Casares,
+class AcdTree:
+    """Alternating cycle decomposition of a Muller table (Casares,
     Colcombet & Fijalkow, ICALP 2021): a forest of trees over loops.
 
-    Each nontrivial SCC of the state graph roots a tree; a node's children
-    are the maximal loops (strongly connected state sets) inside its label
-    with the opposite verdict, `_muller_children`'s rule with each set split
-    into its loops.  A state on no loop roots a one-node tree.  Priorities
-    are as in the Zielonka tree, per root.  The colors are states, and a run
-    at state q sits at a leaf of T_q, the nodes whose label holds q.
+    The colors are states for a state table and transitions for a
+    transition table, whose loops are the inner transitions of the SCCs of
+    a transition set.  Each SCC of the state graph that holds a loop roots
+    a tree; a node's children are the maximal loops inside its label with
+    the opposite verdict, sorted by their sorted colors, and its priority
+    is its depth, plus one when its root accepts.  A state on no loop roots
+    a one-node tree with no colors.  The nodes are numbered breadth first.
+    A run at state q sits at a leaf of T_q, the nodes whose states hold q.
     """
 
-    def __init__(self, structure, acc: MullerStates):
-        succ, pred = _state_graph(structure)
-        table = acc.table
+    def __init__(self, structure, acc: MullerStates | MullerTransitions):
+        n = structure.state_count
+        self.by_transition = by_transition = isinstance(acc, MullerTransitions)
         split: dict = {}
+        if by_transition:
+            edges = structure.all_transitions()
+            bit = {t: 1 << i for i, t in enumerate(edges)}
+            succ, pred = _edge_graph(frozenset(range(n)), edges)
 
-        def loops(states: frozenset) -> list[frozenset]:
-            """The loopable SCCs of `states`, by least state."""
-            if len(states) < 2:
-                # a single state is a loop only with its self-loop
-                return [states] if any(q in structure.delta[q] for q in states) else []
-            if states not in split:
-                rest = 0
-                for q in states:
-                    rest |= 1 << q
-                out = []
-                while rest:
-                    v = (rest & -rest).bit_length() - 1
-                    comp = _loopable_scc(succ, pred, v, rest)
-                    rest &= ~(comp or 1 << v)
-                    if comp:
-                        out.append(frozenset(q for q in states if comp >> q & 1))
-                split[states] = out
-            return split[states]
+            def loops(label: frozenset) -> list[frozenset]:
+                """The inner transitions of the SCCs of `label`, by least state."""
+                if label not in split:
+                    mask = rest = 0
+                    for t in label:
+                        mask |= bit[t]
+                        rest |= 1 << t[0]
+                    out = []
+                    while rest:
+                        v = (rest & -rest).bit_length() - 1
+                        comp = _reach(succ, v, mask) & _reach(pred, v, mask)
+                        rest &= ~comp
+                        inner = frozenset(t for t in label if comp >> t[0] & 1 and comp >> t[2] & 1)
+                        if inner:
+                            out.append(inner)
+                    split[label] = out
+                return split[label]
 
-        tops = loops(frozenset(range(structure.state_count)))
-        self._grow([(s, 1 if s in table else 0) for s in tops], lambda label: _muller_children(label, table, loops))
-        # a state on no loop gets a node of its own, which no step stays in
-        on_loops = frozenset().union(*tops)
-        for q in range(structure.state_count):
+            colors = frozenset(edges)
+        else:
+            succ, pred = _state_graph(structure)
+
+            def loops(states: frozenset) -> list[frozenset]:
+                """The loopable SCCs of `states`, by least state."""
+                if len(states) < 2:
+                    # a single state is a loop only with its self-loop
+                    return [states] if any(q in structure.delta[q] for q in states) else []
+                if states not in split:
+                    rest = 0
+                    for q in states:
+                        rest |= 1 << q
+                    out = []
+                    while rest:
+                        v = (rest & -rest).bit_length() - 1
+                        comp = _loopable_scc(succ, pred, v, rest)
+                        rest &= ~(comp or 1 << v)
+                        if comp:
+                            out.append(frozenset(q for q in states if comp >> q & 1))
+                    split[states] = out
+                return split[states]
+
+            colors = frozenset(range(n))
+
+        def node(label, priority, parent):
+            states = frozenset(p for p, _, _ in label) if by_transition else label
+            return _TreeNode(label, states, priority, parent)
+
+        table = acc.table
+        tops = loops(colors)
+        self.nodes = nodes = [node(s, 1 if s in table else 0, -1) for s in tops]
+        queue = deque(range(len(nodes)))
+        while queue:
+            i = queue.popleft()
+            for child in _muller_children(nodes[i].label, table, loops):
+                nodes[i].children.append(len(nodes))
+                queue.append(len(nodes))
+                nodes.append(node(child, nodes[i].priority + 1, i))
+        # a state on no loop gets a node of its own that holds no color, so
+        # no step stays in it
+        on_loops = frozenset().union(*(nodes[r].states for r in range(len(tops))))
+        for q in range(n):
             if q not in on_loops:
-                self.nodes.append(_TreeNode(frozenset([q]), _BETWEEN_SCCS, -1))
-        self.starts = [0] * structure.state_count
-        for r, node in enumerate(self.nodes):
-            if node.parent < 0:
-                for q in node.label:
+                nodes.append(_TreeNode(frozenset(), frozenset([q]), _BETWEEN_SCCS, -1))
+        self.starts = [0] * n
+        for r, root in enumerate(nodes):
+            if root.parent < 0:
+                for q in root.states:
                     self.starts[q] = self._down(r, q)
 
     def _down(self, i: int, q: int) -> int:
-        """The leftmost leaf of T_q below node i, which holds q."""
+        """The leftmost leaf of T_q below node i, whose states hold q."""
         nodes = self.nodes
         while True:
             for c in nodes[i].children:
-                if q in nodes[c].label:
+                if q in nodes[c].states:
                     i = c
                     break
             else:
                 return i
 
-    def start_leaves(self, state_count: int) -> list[int]:
-        return self.starts
+    def advance(self, leaf: int, t) -> tuple[int, int]:
+        """Process the step t = (q, a, q2) from a state whose leaf is
+        `leaf`: returns (next leaf, emitted priority).
 
-    def advance(self, leaf: int, color: int) -> tuple[int, int]:
-        """Process a step to state `color` from a state whose leaf is `leaf`.
-
-        The deepest node on the leaf's branch that holds the state emits
-        its priority, and the run moves on to the next of its children
-        after the one on the branch (from the first, when the leaf itself
-        emits), cyclically, among those that hold the state, and down to
-        the leftmost leaf of T_state; with no such child it stays at that
-        node.  A step out of the tree, to another SCC, enters the state's
-        own start leaf.
+        The deepest node on the leaf's branch whose label holds t's color
+        (t, or q2 for a state table) emits its priority, and the run moves
+        on to the next of its children after the one on the branch (from
+        the first, when the leaf itself emits), cyclically, among those
+        that hold q2, and down to the leftmost leaf of T_q2; with no such
+        child it stays at that node.  A step out of the tree, to another
+        SCC, enters q2's own start leaf.
         """
         nodes = self.nodes
+        q2 = t[2]
+        color = t if self.by_transition else q2
         below, i = -1, leaf
         node = nodes[i]
         while color not in node.label:
             if node.parent < 0:
-                return self.starts[color], _BETWEEN_SCCS
+                return self.starts[q2], _BETWEEN_SCCS
             below, i = i, node.parent
             node = nodes[i]
         kids = node.children
         if kids:
             k = kids.index(below) + 1 if below >= 0 else 0
             for c in kids[k:] + kids[:k]:
-                if color in nodes[c].label:
-                    return self._down(c, color), node.priority
+                if q2 in nodes[c].states:
+                    return self._down(c, q2), node.priority
         return i, node.priority
 
 
 class ParityView:
     """Deterministic edge-colored parity machine for an acceptor.
 
-    Its states are the (automaton state, leaf) pairs reachable from
-    (q, its start leaf) for each automaton state q, the leaves being those
-    of the tree `_tree` builds: the acceptance's AlternatingTree (Büchi and
-    co-Büchi are read as their parity colorings), whose runs all start at
-    the leftmost leaf of the root.  The tree's `advance` moves a run on by
-    one step.  They are numbered breadth first
-    when the view is built, the roots first, so that automaton state q is
-    view state q.  Reading symbol index i from view state s leads to
-    nxt[s*k + i] and emits priority pri[s*k + i], over k symbols.  The
-    minimal priority occurring infinitely often is odd iff the run is
-    accepted by the original acceptor.
+    Reading symbol index i from view state s leads to nxt[s*k + i] and
+    emits priority pri[s*k + i], over k symbols, and states[s] is view
+    state s's automaton state; view state q is automaton state q.  The
+    least priority occurring infinitely often is odd iff the run is
+    accepted by the original acceptor.  For a Büchi, co-Büchi or parity
+    condition the view states are the automaton states, and a step emits
+    its target's merged priority.  For a Muller table they are the (state,
+    leaf) pairs of its AcdTree reachable from (q, its start leaf) for each
+    state q, numbered breadth first, the roots first; the tree's `advance`
+    moves a run on by one step.
     """
 
     def __init__(self, acceptor: Acceptor):
         self.acceptor = acceptor
         structure = acceptor.structure
-        transition_colors = isinstance(acceptor.acceptance, MullerTransitions)
-        self.tree = tree = self._tree()
+        acc = acceptor.acceptance
         symbols = structure.alphabet.symbols
         delta = structure.delta
         self.k = len(symbols)
-        # the (automaton state, leaf) pair of each view state
-        self.states = list(enumerate(tree.start_leaves(structure.state_count)))
-        ids = {s: q for q, s in enumerate(self.states)}
-        self.nxt: list[int] = []
-        self.pri: list[int] = []
-        for q, leaf in self.states:  # grows while it is read
-            for sym, q2 in zip(symbols, delta[q]):
-                color = (q, sym, q2) if transition_colors else q2
-                leaf2, priority = tree.advance(leaf, color)
-                t = ids.get((q2, leaf2))
-                if t is None:
-                    t = ids[q2, leaf2] = len(self.states)
-                    self.states.append((q2, leaf2))
-                self.nxt.append(t)
-                self.pri.append(priority)
-
-    def _tree(self) -> AlternatingTree:
-        """The Zielonka tree of the acceptance over its colors."""
-        structure = self.acceptor.structure
-        acc = self.acceptor.acceptance
-        if isinstance(acc, MullerTransitions):
-            colors = frozenset(structure.all_transitions())
-        else:
-            colors = frozenset(range(structure.state_count))
         if isinstance(acc, (Buchi, CoBuchi)):
             acc = as_parity(acc, structure.state_count)
-        return AlternatingTree(colors, acc)
+        if isinstance(acc, Parity):
+            rank = _priorities(acc.colors)
+            self.states = list(range(structure.state_count))
+            self.nxt = [q2 for row in delta for q2 in row]
+            self.pri = [rank[q2] for q2 in self.nxt]
+            return
+        tree = AcdTree(structure, acc)
+        # the (automaton state, leaf) pair of each view state
+        pairs = list(enumerate(tree.starts))
+        ids = {s: q for q, s in enumerate(pairs)}
+        self.nxt: list[int] = []
+        self.pri: list[int] = []
+        for q, leaf in pairs:  # grows while it is read
+            for sym, q2 in zip(symbols, delta[q]):
+                leaf2, priority = tree.advance(leaf, (q, sym, q2))
+                t = ids.get((q2, leaf2))
+                if t is None:
+                    t = ids[q2, leaf2] = len(pairs)
+                    pairs.append((q2, leaf2))
+                self.nxt.append(t)
+                self.pri.append(priority)
+        self.states = [q for q, _ in pairs]
 
     def initial(self, q: int | None = None) -> int:
         """The view state of automaton state q, by default the initial one."""
         return self.acceptor.structure.initial if q is None else q
-
-
-class AcdView(ParityView):
-    """The ParityView that partitions states: for a state-Muller table its
-    tree is the AcdTree, whose leaves are those a run inside one SCC can
-    use; for every other acceptance it is the Zielonka tree.  A view state
-    is then (q, leaf of T_q), and view state q is (q, its start leaf)."""
-
-    def _tree(self) -> AlternatingTree:
-        acc = self.acceptor.acceptance
-        if isinstance(acc, MullerStates):
-            return AcdTree(self.acceptor.structure, acc)
-        return super()._tree()
 
 
 # Most product nodes pair_product numbers before it gives up.  The catalog

@@ -230,30 +230,6 @@ def naive_monoid(acceptor):
     return words, letters, right
 
 
-# ------------------------------------------------------ naive parity tree
-
-
-def brute_flipped_children(acc, label):
-    """Maximal proper nonempty subsets of `label` whose verdict is the
-    opposite of label's, found by trying every subset.  Colors are states,
-    or transitions for a transition table; naive_verdict reads the one its
-    kind looks at."""
-    colors = sorted(label, key=repr)
-    flipped = not naive_verdict(acc, label, label)
-    found = []
-    for bits in range(1, (1 << len(colors)) - 1):
-        s = frozenset(c for i, c in enumerate(colors) if bits >> i & 1)
-        if naive_verdict(acc, s, s) == flipped:
-            found.append(s)
-    # a set with a flipped strict superset lies inside a maximal one, which
-    # is larger and so kept first
-    maximal = []
-    for s in sorted(found, key=len, reverse=True):
-        if not any(s < m for m in maximal):
-            maximal.append(s)
-    return set(maximal)
-
-
 # ------------------------------------------------------ naive loop sets
 
 
@@ -327,20 +303,27 @@ def naive_transitions_connect(states, t_set):
 
 
 def brute_acd(acceptor):
-    """The alternating cycle decomposition of a state-table acceptor, by
-    brute force: one tree per SCC that holds a loop, that is per maximal
-    loop, as nested (states, accepting, children) triples.  A node's
-    children are the maximal loops inside its states with the opposite
-    verdict, sorted by their sorted states; the loops are
-    brute_loopable_state_sets' and their verdicts naive_verdict's."""
-    verdict = {s: naive_verdict(acceptor.acceptance, s, t) for s, t in brute_loopable_state_sets(acceptor.structure)}
+    """The alternating cycle decomposition of a Muller table, by brute
+    force: one tree per SCC that holds a loop, that is per maximal loop, as
+    nested (colors, accepting, children) triples.  A node's children are
+    the maximal loops inside its colors with the opposite verdict, sorted
+    by their sorted colors.  The colors of a loop are the states of one of
+    brute_loopable_state_sets for a state table, and the transitions of
+    one of brute_loopable_transition_sets for a transition table; the
+    verdicts are naive_verdict's."""
+    acc = acceptor.acceptance
+    if acc.kind == "tmuller":
+        loops = [(t, s, t) for s, t in brute_loopable_transition_sets(acceptor.structure)]
+    else:
+        loops = [(s, s, t) for s, t in brute_loopable_state_sets(acceptor.structure)]
+    verdict = {colors: naive_verdict(acc, s, t) for colors, s, t in loops}
 
     def maximal(sets):
         return sorted((s for s in sets if not any(s < t for t in sets)), key=sorted)
 
-    def node(states):
-        flipped = [s for s in verdict if s < states and verdict[s] != verdict[states]]
-        return states, verdict[states], [node(s) for s in maximal(flipped)]
+    def node(label):
+        flipped = [s for s in verdict if s < label and verdict[s] != verdict[label]]
+        return label, verdict[label], [node(s) for s in maximal(flipped)]
 
     return [node(s) for s in maximal(list(verdict))]
 

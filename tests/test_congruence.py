@@ -205,8 +205,8 @@ class TestQuotient:
         assert main(["quotient", str(path), "-o", str(tmp_path / "q.oaf")]) == 4
 
     def test_eighteen_states_partition_within_the_default_capacity(self):
-        # the partition's ACD view has 688 states where the Zielonka view
-        # has 1,417, whose product stops at PRODUCT_CAPACITY
+        # the partition's ACD view has 688 states, and its product of
+        # 187,230 nodes fits within PRODUCT_CAPACITY
         start = time.perf_counter()
         q = rightcon_quotient(random_dma(18, "x/0", 3, 8))
         assert time.perf_counter() - start < 10

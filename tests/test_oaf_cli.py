@@ -156,6 +156,15 @@ class TestOafErrors:
             ("oaf 1\nalphabet a\nstates 1\ninitial 0\n", 0, "missing 'type'"),
             ("oaf 1\ntype buchi\nalphabet a\ninitial 0\n", 0, "missing 'states'"),
             ("oaf 1\ntype buchi\nalphabet a\nstates 1\n", 0, "missing 'initial'"),
+            # a directive given at most once, given twice, fails at its
+            # second line rather than overwriting the first
+            ("oaf 1\noaf 1\n", 2, "second oaf line"),
+            (HEAD + "type cobuchi\n", 6, "second type line"),
+            (HEAD + "alphabet a b\n", 6, "second alphabet line"),
+            (HEAD + "states 2\n", 6, "second states line"),
+            (HEAD.replace("states 1", "states 2") + "initial 1\n", 6, "second initial line"),
+            (HEAD + "complete sink\ncomplete sink\n", 7, "second complete line"),
+            (HEAD.replace("buchi", "parity") + "acc color 0 1\nacc color 0 2\n", 7, "second acc color for state 0"),
         ],
     )
     def test_malformed_directive(self, text, line_no, reason):

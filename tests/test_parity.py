@@ -1,20 +1,19 @@
-"""The parity translation's trees, against brute-force subset searches,
-and the partition's view against naive runs."""
+"""The parity translation's ACD against a brute-force loop search, and
+every view's runs against naive runs."""
 
 import itertools
 import random
 
 from rightcon import LassoWord, convert, random_dma, wagner_family
-from rightcon.parity import AcdTree, AcdView, ParityView
+from rightcon.parity import AcdTree, ParityView
 
 from helpers import (
     ACCEPTANCE_KINDS,
     all_fixtures,
     brute_acd,
-    brute_flipped_children,
     naive_accepts,
     naive_strongly_connected,
-    naive_verdict,
+    naive_transitions_connect,
     random_acceptor,
 )
 
@@ -27,8 +26,9 @@ def _tree_inputs():
             yield f"{kind}/{i}", random_acceptor(rng, 5, kinds=(kind,))
     for i in range(10):
         # Muller tables with many entries, from parity conditions
-        parity = random_acceptor(rng, 6, kinds=("parity",))
-        yield f"parity-muller/{i}", convert(parity, "muller")
+        muller = convert(random_acceptor(rng, 6, kinds=("parity",)), "muller")
+        yield f"parity-muller/{i}", muller
+        yield f"parity-tmuller/{i}", convert(muller, "tmuller")
     for n in range(1, 4):
         for m in range(1, 4):
             for polarity in ("+", "-"):
@@ -38,35 +38,19 @@ def _tree_inputs():
         yield f"tmuller/{n}", convert(random_dma(n, "c/0"), "tmuller")
 
 
-def test_tree_children_match_brute_force():
-    for tag, a in _tree_inputs():
-        acc = a.acceptance
-        tree = ParityView(a).tree
-        root = tree.nodes[0]
-        if acc.kind == "tmuller":
-            assert root.label == frozenset(a.structure.all_transitions()), tag
-        else:
-            assert root.label == frozenset(range(a.structure.state_count)), tag
-        assert root.priority % 2 == naive_verdict(acc, root.label, root.label), tag
-        for i, node in enumerate(tree.nodes):
-            labels = [tree.nodes[c].label for c in node.children]
-            assert set(labels) == brute_flipped_children(acc, node.label), (tag, node.label)
-            assert len(labels) == len(set(labels)), tag
-            assert labels == sorted(labels, key=lambda s: sorted(map(repr, s))), tag
-            for c in node.children:
-                assert tree.nodes[c].priority == node.priority + 1, tag
-                assert tree.nodes[c].parent == i, tag
-
-
 def _acd_draws():
     return [(f"acd/{i}", random_dma(4 + i % 3, f"acd/{i}")) for i in range(40)]
 
 
 def test_acd_matches_brute_force():
-    muller = [(tag, a) for tag, a in _tree_inputs() if a.acceptance.kind == "muller"]
+    muller = [(tag, a) for tag, a in _tree_inputs() if a.acceptance.kind in ("muller", "tmuller")]
     for tag, a in muller + _acd_draws():
         tree = AcdTree(a.structure, a.acceptance)
         nodes = tree.nodes
+        if a.acceptance.kind == "tmuller":
+            loop = lambda node: naive_transitions_connect(node.states, node.label)
+        else:
+            loop = lambda node: naive_strongly_connected(a.structure, node.label)
 
         def nested(i):
             node = nodes[i]
@@ -78,14 +62,14 @@ def test_acd_matches_brute_force():
         roots = [i for i, node in enumerate(nodes) if node.parent < 0]
         # the roots split the states: the SCCs that hold a loop, and a
         # one-node tree for each state on no loop
-        assert sorted(q for i in roots for q in nodes[i].label) == list(range(a.structure.state_count)), tag
-        loops = [i for i in roots if naive_strongly_connected(a.structure, nodes[i].label)]
+        assert sorted(q for i in roots for q in nodes[i].states) == list(range(a.structure.state_count)), tag
+        loops = [i for i in roots if loop(nodes[i])]
         for i in roots:
             if i not in loops:
-                assert len(nodes[i].label) == 1 and not nodes[i].children, tag
+                assert len(nodes[i].states) == 1 and not nodes[i].children, tag
         # brute_acd sees the reachable states only
         reachable = a.structure.reachable_states()
-        assert [nested(i) for i in loops if nodes[i].label <= reachable] == brute_acd(a), tag
+        assert [nested(i) for i in loops if nodes[i].states <= reachable] == brute_acd(a), tag
 
 
 def _view_accepts(view, w, state):
@@ -112,16 +96,14 @@ def _view_accepts(view, w, state):
 
 
 def test_acd_view_runs_match_naive_acceptance():
-    muller = [(name, a) for name, a in all_fixtures() if a.acceptance.kind == "muller"]
-    for tag, a in muller + _acd_draws():
-        view = AcdView(a)
-        assert isinstance(view.tree, AcdTree), tag
+    for tag, a in all_fixtures() + list(_tree_inputs()) + _acd_draws():
+        view = ParityView(a)
         syms = a.alphabet.symbols
         words = [w for n in range(4) for w in itertools.product(syms, repeat=n)]
         # naive verdicts by the state the spoke reaches and the cycle
         naive: dict = {}
         for q in range(a.structure.state_count):
-            assert view.states[q][0] == q, tag
+            assert view.states[q] == q, tag
             for spoke in words:
                 p = a.structure.run(q, spoke)
                 for cycle in words[1:]:

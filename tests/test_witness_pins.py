@@ -2,7 +2,9 @@
 
 Each is the exact lasso the library returns for a seeded input.  A change
 to how the product, its components or its paths are searched must keep
-them all; the other tests only check that a witness is valid.
+them all; the other tests only check that a witness is valid.  Each test
+also checks, by naive simulation, that its lassos tell the two sides
+apart.
 """
 
 import random
@@ -10,6 +12,7 @@ import random
 import pytest
 
 from rightcon import (
+    LassoWord,
     classify,
     equivalent,
     fixture,
@@ -20,7 +23,7 @@ from rightcon import (
     state_equivalent,
 )
 
-from helpers import ACCEPTANCE_KINDS, random_acceptor
+from helpers import ACCEPTANCE_KINDS, naive_accepts, random_acceptor
 
 
 # (kind, lasso) of the first two pairs of each kind, drawn in turn from
@@ -32,10 +35,10 @@ EQUIVALENT = [
     ("cobuchi", "a:aa"),
     ("parity", ":abbab"),
     ("parity", ":aaaa"),
-    ("muller", "a:aaaaaa"),
-    ("muller", ":abbbab"),
-    ("tmuller", "a:aababba"),
-    ("tmuller", "aa:aa"),
+    ("muller", ":abab"),
+    ("muller", ":abbabb"),
+    ("tmuller", "a:aa"),
+    ("tmuller", "ab:aaabaaab"),
 ]
 
 
@@ -49,6 +52,7 @@ def test_equivalent_witnesses():
             b = random_acceptor(rng, 5, kinds=(kind,))
             same, w = equivalent(a, b)
             if not same and len(w.spoke) + len(w.cycle) > 2:
+                assert naive_accepts(a, w) != naive_accepts(b, w)
                 got.append((kind, format_lasso(w)))
                 found += 1
     assert got == EQUIVALENT
@@ -57,20 +61,22 @@ def test_equivalent_witnesses():
 @pytest.mark.parametrize(
     "n, seed, p, q, lasso",
     [
-        (5, "pin/0", 0, 1, "b:abcbcbbbbbacabcbcb"),
-        (5, "pin/0", 0, 3, "b:abbbbbbcbbbbbbbbbbbb"),
-        (5, "pin/0", 3, 4, "bb:abcbcbbbbbacabcbcb"),
-        (6, "pin/1", 0, 2, "ac:bacabbccbacabbcc"),
-        (6, "pin/1", 4, 5, "ca:aacccabcac"),
-        (7, "pin/2", 5, 6, "cacb:baba"),
-        (8, "pin/3", 0, 2, "cb:abccbabccccb"),
-        (8, "pin/3", 6, 7, "ab:abccbabccccbaa"),
+        (5, "pin/0", 0, 1, "b:acbcbbbbb"),
+        (5, "pin/0", 0, 3, "b:acbbbbbbbb"),
+        (5, "pin/0", 3, 4, "bb:acbcb"),
+        (6, "pin/1", 0, 2, "c:bbccabbcca"),
+        (6, "pin/1", 4, 5, ":bacabbcc"),
+        (7, "pin/2", 5, 6, "aa:baaa"),
+        (8, "pin/3", 0, 2, ":cbabc"),
+        (8, "pin/3", 6, 7, "ab:abccbaa"),
     ],
 )
 def test_state_equivalent_witnesses(n, seed, p, q, lasso):
-    same, w = state_equivalent(random_dma(n, seed), p, q)
+    a = random_dma(n, seed)
+    same, w = state_equivalent(a, p, q)
     assert not same
     assert format_lasso(w) == lasso
+    assert naive_accepts(a, w, p) != naive_accepts(a, w, q)
 
 
 @pytest.mark.parametrize(
@@ -78,17 +84,22 @@ def test_state_equivalent_witnesses(n, seed, p, q, lasso):
     [
         (1, "", "a", "a:abababab"),
         (3, "a", "b", ":acaccbac"),
-        (8, "", "a", "cabca:cbbcacbbca"),
-        (15, "", "b", "cbaaba:bbccaaba"),
-        (16, "", "ab", "ab:ccbcb"),
-        (18, "b", "a", "b:aacbbbbb"),
+        (8, "", "a", "cbca:cbbcacbbca"),
+        (15, "", "b", "b:bababbabb"),
+        (16, "", "ab", "ab:ccb"),
+        (18, "b", "a", "a:bcabbc"),
     ],
 )
 def test_counting_witnesses(i, u, v, lasso):
-    verdict, witness = is_non_counting(random_dma(4, f"nc/{i}"))
+    a = random_dma(4, f"nc/{i}")
+    verdict, witness = is_non_counting(a)
     assert not verdict
     wu, wv, w, n = witness
     assert ("".join(wu), "".join(wv), format_lasso(w), n) == (u, v, lasso, 1)
+    # u.v.w and u.v.v.w: one of them is in the language
+    once = LassoWord(wu + wv + w.spoke, w.cycle)
+    twice = LassoWord(wu + wv + wv + w.spoke, w.cycle)
+    assert naive_accepts(a, once) != naive_accepts(a, twice)
 
 
 @pytest.mark.parametrize(
@@ -118,5 +129,7 @@ def test_respective_witnesses(acceptor, x, u):
     ],
 )
 def test_conflict_counterexamples(i, flag, pos, neg):
-    kind, w_pos, w_neg = classify(random_dma(4, f"c/{i}")).counterexamples[flag]
+    a = random_dma(4, f"c/{i}")
+    kind, w_pos, w_neg = classify(a).counterexamples[flag]
     assert (kind, format_lasso(w_pos), format_lasso(w_neg)) == ("conflict", pos, neg)
+    assert naive_accepts(a, w_pos) and not naive_accepts(a, w_neg)
