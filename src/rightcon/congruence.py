@@ -11,6 +11,7 @@ from .errors import NotMuller, NotTrivial
 from .graph import bfs_order, bfs_path
 from .loops import (
     DEFAULT_CAPACITY,
+    AcdTree,
     Budget,
     _chain_flags,
     _edge_graph,
@@ -83,26 +84,25 @@ class Quotient:
     classes: tuple[frozenset[int], ...]
 
 
-def partition_language_equivalent(acceptor: Acceptor) -> list[list[int]]:
-    """Partition reachable states by language equality.
+def partition_language_equivalent(view: ParityView) -> list[list[int]]:
+    """Partition the reachable states of `view`'s acceptor by language
+    equality.
 
-    One product of the acceptor's ParityView with itself, rooted at every
-    pair of reachable states, settles all pairs at once: a pair is
-    inequivalent exactly when its root reaches an SCC on which the two
-    copies disagree, the SCCs `find_discrepancy` would accept.  This is
-    the view every comparison uses, so the partition and the witnesses of
-    `state_equivalent` agree.  The product numbers its nodes, root pair r
-    as node r, so the predecessor lists and the marks of the nodes
-    reaching such an SCC are indexed by node.  The marks grow after each
-    SCC found, and the search stops once every root is marked: most random
-    acceptors are their own quotient, and the first SCC already splits
-    every pair.  Blocks list states in breadth-first order; each state
-    joins the block of the first earlier representative it is equivalent
-    to.
+    One product of the view with itself, rooted at every pair of reachable
+    states, settles all pairs at once: a pair is inequivalent exactly when
+    its root reaches an SCC on which the two copies disagree, the SCCs
+    `find_discrepancy` would accept.  This is the view every comparison
+    uses, so the partition and the witnesses of `state_equivalent` agree.
+    The product numbers its nodes, root pair r as node r, so the
+    predecessor lists and the marks of the nodes reaching such an SCC are
+    indexed by node.  The marks grow after each SCC found, and the search
+    stops once every root is marked: most random acceptors are their own
+    quotient, and the first SCC already splits every pair.  Blocks list
+    states in breadth-first order; each state joins the block of the first
+    earlier representative it is equivalent to.
     """
-    structure = acceptor.structure
+    structure = view.acceptor.structure
     order = bfs_order(structure.initial, structure.delta.__getitem__)
-    view = ParityView(acceptor)
     # automaton state q is view state q
     roots = list(combinations(order, 2))
     _, edges = pair_product(view, view, roots)
@@ -151,8 +151,13 @@ def rightcon_quotient(acceptor: Acceptor) -> Quotient:
     Class ids follow the shortlex order of the representatives, the
     shortlex-least words reaching each class.
     """
-    structure = acceptor.structure
-    blocks = partition_language_equivalent(acceptor)
+    return _quotient(ParityView(acceptor))
+
+
+def _quotient(view: ParityView) -> Quotient:
+    """`rightcon_quotient` of the view's acceptor."""
+    structure = view.acceptor.structure
+    blocks = partition_language_equivalent(view)
     block_of = {q: i for i, b in enumerate(blocks) for q in b}
 
     def succ(b):
@@ -270,46 +275,48 @@ def _loop_lasso(
     return LassoWord(spoke, cycle)
 
 
-def _uniform_core(table: dict, verdict: bool, region: frozenset[int]) -> frozenset[int]:
-    """States on some loop inside region whose every loop inside region has
-    the given verdict."""
-    inside = [s for s in table if s <= region]
-    return frozenset(
-        q
-        for q in frozenset().union(*inside)
-        if all(table[s] == verdict for s in inside if q in s)
-    )
+def _parity_classes(structure: TransitionStructure, table: MullerStates, flags, certificates, counterexamples) -> None:
+    """IP, and when it holds IB and IC, of the state table `table` on
+    `structure`, read from its alternating cycle decomposition.
 
-
-def _parity_certificate(
-    q_structure: TransitionStructure, table: dict
-) -> Parity:
-    """Alternation-peeling coloring for a union-closed quotient loop table."""
-    colors: dict[int, int] = {}
-
-    def maximal_within(universe: frozenset[int]):
-        inside = [s for s in table if s <= universe]
-        return [s for s in inside if not any(s < t for t in inside)]
-
-    def assign(region: frozenset[int], color: int):
-        verdict = table[region]
-        if (color % 2 == 1) != verdict:
-            raise AssertionError("peeling parity drifted from loop verdict")
-        core = _uniform_core(table, verdict, region)
-        if not core:
-            raise AssertionError("peeling found no uniform-polarity states")
-        for q in core:
-            colors[q] = color
-        rest = region - core
-        for sub in maximal_within(frozenset(rest)):
-            assign(sub, color + 1)
-
-    for top in maximal_within(frozenset(q for s in table for q in s)):
-        assign(top, 1 if table[top] else 0)
-    fallback = max(colors.values(), default=0)
-    return Parity(
-        tuple(colors.get(q, fallback) for q in range(q_structure.state_count))
-    )
+    IP fails iff the union of some node's children holds a loop that no
+    single child holds.  That loop's SCC K in the union is then a loop
+    with the node's verdict and a union of loops with the other one, which
+    no coloring allows; the counterexample is the (size, sorted)-least K.
+    Otherwise the nodes holding a state form a branch, and each state gets
+    the priority of the deepest one, a state on no loop the greatest.  IB
+    holds iff every accepting node is a root, IC iff every rejecting one
+    is, and each core is its roots' states outside their children.
+    """
+    tree = AcdTree(structure, table)
+    nodes = tree.nodes
+    held = [nodes[i] for i in tree.reachable]  # the nodes that hold a loop
+    merged = []
+    for x in held:
+        kids = [nodes[c].label for c in x.children]
+        if len(kids) > 1:
+            merged += [(y, x.priority % 2 == 1) for y in tree.loops(frozenset().union(*kids)) if y not in kids]
+    flags["IP"] = not merged
+    if merged:
+        counterexamples["IP"] = ("union_closure", *min(merged, key=lambda m: _size_then_sorted(m[0])))
+        return
+    colors = {}
+    for x in held:  # breadth first, so the deepest node holding q is last
+        for q in x.states:
+            colors[q] = x.priority
+    top = max(colors.values())
+    certificates["IP"] = Parity(tuple(colors.get(q, top) for q in range(structure.state_count)))
+    for flag, parity, kind, evidence in (
+        ("IB", 1, Buchi, "accepting_loop_misses_core"),
+        ("IC", 0, CoBuchi, "rejecting_loop_misses_core"),
+    ):
+        roots = [x for x in held if x.parent < 0 and x.priority % 2 == parity]
+        core = frozenset().union(*(x.states.difference(*(nodes[c].states for c in x.children)) for x in roots))
+        flags[flag] = all(x.parent < 0 for x in held if x.priority % 2 == parity)
+        if flags[flag]:
+            certificates[flag] = kind(core)
+        else:
+            counterexamples[flag] = (evidence, core)
 
 
 def _verdict_groups(key_fn, sets, verdicts) -> dict:
@@ -431,9 +438,12 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     certificate is built on its first read by listing the transition sets
     of the accepting state sets.  Every listing, the deferred one too,
     raises `CapacityExceeded` past `capacity` sets, and the conflict search
-    past `capacity` steps.
+    past `capacity` steps.  IP, IB and IC are read from the alternating
+    cycle decomposition of the IM certificate (`_parity_classes`), and
+    weak, db and dc from that of the acceptance.
     """
-    quotient = rightcon_quotient(acceptor)
+    view = ParityView(acceptor)
+    quotient = _quotient(view)
     proj = quotient.projection
     structure = acceptor.structure
     acc = acceptor.acceptance
@@ -494,50 +504,16 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
         if im is not None:
             conflict("IM", *im)
 
-    if not flags["IM"]:
-        for flag in ("IP", "IB", "IC"):
+    if flags["IM"]:
+        certificates["IM"] = MullerStates(frozenset(k for k, g in im_groups.items() if True in g))
+        _parity_classes(quotient.structure, certificates["IM"], flags, certificates, counterexamples)
+    for flag in ("IP", "IB", "IC"):
+        if flag not in flags:  # IM fails, or IP does
             flags[flag] = False
-            counterexamples[flag] = ("requires", "IM")
-    else:
-        table = {k: (True in g) for k, g in im_groups.items()}
-        certificates["IM"] = MullerStates(frozenset(k for k, v in table.items() if v))
-        # union-closure of each polarity family over the quotient loop table;
-        # the least covered set is the counterexample, whatever the hash order
-        ip_ok = True
-        for s, v in sorted(table.items(), key=lambda e: _size_then_sorted(e[0])):
-            covered = all(
-                any(q in s2 and s2 <= s and table[s2] != v for s2 in table)
-                for q in s
-            )
-            if covered:
-                ip_ok = False
-                counterexamples["IP"] = ("union_closure", s, v)
-                break
-        flags["IP"] = ip_ok
-        if ip_ok:
-            certificates["IP"] = _parity_certificate(quotient.structure, table)
-            everything = frozenset(range(quotient.structure.state_count))
-            f_star = _uniform_core(table, True, everything)
-            ib_ok = all(s & f_star for s, v in table.items() if v)
-            flags["IB"] = ib_ok
-            if ib_ok:
-                certificates["IB"] = Buchi(f_star)
-            else:
-                counterexamples["IB"] = ("accepting_loop_misses_core", f_star)
-            f_circ = _uniform_core(table, False, everything)
-            ic_ok = all(s & f_circ for s, v in table.items() if not v)
-            flags["IC"] = ic_ok
-            if ic_ok:
-                certificates["IC"] = CoBuchi(f_circ)
-            else:
-                counterexamples["IC"] = ("rejecting_loop_misses_core", f_circ)
-        else:
-            for flag in ("IB", "IC"):
-                flags[flag] = False
-                counterexamples[flag] = ("requires", "IP")
+            counterexamples[flag] = ("requires", "IP" if flags["IM"] else "IM")
 
-    loop_keys = (t if by_transitions else s for s, t in loops)
-    flags.update(_chain_flags(list(zip(loop_keys, verdicts))))
+    # the tree of a Muller table is the one the quotient's view built
+    flags.update(_chain_flags(view.tree or AcdTree(structure, acc)))
 
     n = quotient.structure.state_count
     return Classification(

@@ -9,6 +9,7 @@ from .congruence import partition_language_equivalent
 from .errors import SamplingExhausted
 from .loops import _loopable_scc, _state_graph
 from .model import Acceptor, Alphabet, MullerStates, TransitionStructure, validate
+from .parity import ParityView
 from .semantics import LoopVerdicts
 
 _RETRY_BOUND = 100000
@@ -185,7 +186,7 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
     for step in range(samples):
         if not blocks and not pairs:
             return True
-        if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
+        if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(ParityView(acceptor))):
             return False
         spoke, cycle = _draw_lasso(rng, n, k)
         verdicts = None
@@ -264,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 cfg.accepting_sets,
             )
             if cfg.mode == "exact":
-                blocks = partition_language_equivalent(acceptor)
+                blocks = partition_language_equivalent(ParityView(acceptor))
                 if all(len(b) == 1 for b in blocks):
                     iso += 1
             else:

@@ -8,22 +8,28 @@ sets are built from the state sets: each state set's spanning transition
 sets are listed once, under that state set, without any search for
 duplicates.
 
-Sets are bitmasks, and one search, `_reach`, answers every reachability
-question here: the SCCs of a state set, whether transitions span their
-states, and which SCCs reach which.
+The structural measures (weak, DB, DC and the alternation measure) list
+no loop sets: they read the alternating cycle decomposition, `AcdTree`,
+one loop tree for every acceptance kind.  Sets are bitmasks, and one
+search, `_reach`, answers every reachability question here: the SCCs of a
+state set, whether transitions span their states, and which SCCs reach
+which.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CapacityExceeded, NotWeak
 from .model import (
+    Acceptance,
     Acceptor,
     Buchi,
     CoBuchi,
     MullerTransitions,
+    Parity,
     Transition,
     TransitionStructure,
 )
@@ -304,36 +310,268 @@ def loopable_sets(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> LoopT
     return LoopTable(keyed_by, entries)
 
 
-def _chain_flags(loops) -> dict[str, bool]:
-    """weak, db and dc of loop sets given as (key, verdict) pairs.
+def as_parity(acc: Buchi | CoBuchi, state_count: int) -> Parity:
+    """The 1/2 coloring of a Büchi condition, the 0/1 one of a co-Büchi one."""
+    if isinstance(acc, Buchi):
+        return Parity(tuple(1 if q in acc.accepting else 2 for q in range(state_count)))
+    return Parity(tuple(0 if q in acc.avoided else 1 for q in range(state_count)))
 
-    db: no superset of an accepting loopable set is rejecting; dc: no
-    superset of a rejecting one is accepting; weak: both.  Only pairs of
-    opposite verdicts can clear a flag, and each search stops at its first
-    witness.
+
+def _priorities(colors: tuple[int, ...]) -> list[int]:
+    """Each color's priority once each run of same-parity colors, in
+    increasing order, is merged into one: the least color's parity plus
+    the parity changes up to the color."""
+    levels = sorted(set(colors))
+    rank = {levels[0]: levels[0] % 2}
+    for low, high in zip(levels, levels[1:]):
+        rank[high] = rank[low] + (high - low) % 2
+    return [rank[c] for c in colors]
+
+
+def _maximal(sets) -> list[frozenset]:
+    """The inclusion-maximal sets, sorted by their sorted colors, so in a
+    hash-independent order."""
+    kept: list[frozenset] = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s < k for k in kept):
+            kept.append(s)
+    return sorted(kept, key=sorted)
+
+
+def _muller_children(label: frozenset, table: frozenset, loops) -> list[frozenset]:
+    """The maximal loops strictly inside `label` with the opposite verdict.
+
+    `loops` splits a set of colors into its loops.  Below a rejecting
+    label the children are the maximal table entries inside it that are
+    loops.  Below an accepting one, removing one color at a time and
+    splitting into loops, through accepting loops only, reaches every
+    maximal rejecting loop R: removing a color outside R leaves R inside
+    one loop, which is R or an accepting loop strictly between R and the
+    label.
     """
-    accepting = [k for k, v in loops if v]
-    rejecting = [k for k, v in loops if not v]
-    db = not any(a < r for a in accepting for r in rejecting)
-    dc = not any(r < a for r in rejecting for a in accepting)
-    return {"weak": db and dc, "db": db, "dc": dc}
+    if label not in table:
+        return _maximal([e for e in table if e < label and loops(e) == [e]])
+    found = set()
+    seen = {label}
+    stack = [label]
+    while stack:
+        entry = stack.pop()
+        for c in entry:
+            for y in loops(entry - {c}):
+                if y not in seen:
+                    seen.add(y)
+                    if y in table:
+                        stack.append(y)
+                    else:
+                        found.add(y)
+    return _maximal(found)
 
 
-def _table_flags(table: LoopTable) -> dict[str, bool]:
-    return _chain_flags([(table.key_of(e), e.accepting) for e in table.entries.values()])
+@dataclass
+class _TreeNode:
+    label: frozenset  # its colors
+    states: frozenset  # the states its colors touch
+    priority: int
+    parent: int
+    children: list = field(default_factory=list)
 
 
-def is_weak(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
-    return _table_flags(loopable_sets(acceptor, capacity))["weak"]
+# The priority of a step between two SCCs.  A run takes finitely many, so
+# any fixed value will do.
+_BETWEEN_SCCS = 0
 
 
-def is_db(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
+class AcdTree:
+    """Alternating cycle decomposition of an acceptance condition (Casares,
+    Colcombet & Fijalkow, ICALP 2021; Wagner, Inf. & Control 1979): a
+    forest of trees over loops.
+
+    The colors are transitions for a transition table, whose loops are the
+    inner transitions of the SCCs of a transition set, and states for every
+    other kind.  Each SCC of the state graph that holds a loop roots a
+    tree; a node's children are the maximal loops inside its label with
+    the opposite verdict, sorted by their sorted colors, and its priority
+    is its depth, plus one when its root accepts: odd exactly on accepting
+    nodes.  A Muller table finds the children with `_muller_children`.
+    Büchi, co-Büchi and parity conditions use merged priorities: a node
+    whose least one is m splits into the loopable SCCs of its label without
+    the priority-m states, and an SCC whose least has m's parity splits
+    again.  A state on no loop roots a one-node tree with no colors.  The
+    nodes are numbered breadth first; `reachable` lists those that hold a
+    loop on reachable states, and `loops` splits a set of colors into its
+    loops.  A run at state q sits at a leaf of T_q, the nodes whose states
+    hold q.
+    """
+
+    def __init__(self, structure: TransitionStructure, acc: Acceptance):
+        n = structure.state_count
+        self.by_transition = by_transition = isinstance(acc, MullerTransitions)
+        split: dict = {}
+        if by_transition:
+            edges = structure.all_transitions()
+            bit = {t: 1 << i for i, t in enumerate(edges)}
+            succ, pred = _edge_graph(frozenset(range(n)), edges)
+
+            def loops(label: frozenset) -> list[frozenset]:
+                """The inner transitions of the SCCs of `label`, by least state."""
+                if label not in split:
+                    mask = rest = 0
+                    for t in label:
+                        mask |= bit[t]
+                        rest |= 1 << t[0]
+                    out = []
+                    while rest:
+                        v = (rest & -rest).bit_length() - 1
+                        comp = _reach(succ, v, mask) & _reach(pred, v, mask)
+                        rest &= ~comp
+                        inner = frozenset(t for t in label if comp >> t[0] & 1 and comp >> t[2] & 1)
+                        if inner:
+                            out.append(inner)
+                    split[label] = out
+                return split[label]
+
+            colors = frozenset(edges)
+        else:
+            succ, pred = _state_graph(structure)
+
+            def loops(states: frozenset) -> list[frozenset]:
+                """The loopable SCCs of `states`, by least state."""
+                if len(states) < 2:
+                    # a single state is a loop only with its self-loop
+                    return [states] if any(q in structure.delta[q] for q in states) else []
+                if states not in split:
+                    rest = 0
+                    for q in states:
+                        rest |= 1 << q
+                    out = []
+                    while rest:
+                        v = (rest & -rest).bit_length() - 1
+                        comp = _loopable_scc(succ, pred, v, rest)
+                        rest &= ~(comp or 1 << v)
+                        if comp:
+                            out.append(frozenset(q for q in states if comp >> q & 1))
+                    split[states] = out
+                return split[states]
+
+            colors = frozenset(range(n))
+
+        if isinstance(acc, (Buchi, CoBuchi)):
+            acc = as_parity(acc, n)
+        if isinstance(acc, Parity):
+            rank = _priorities(acc.colors)
+
+            def accepts(label: frozenset) -> bool:
+                return min(rank[q] for q in label) % 2 == 1
+
+            def children(label: frozenset) -> list[frozenset]:
+                verdict, found, stack = accepts(label), [], [label]
+                while stack:
+                    s = stack.pop()
+                    low = min(rank[q] for q in s)
+                    for y in loops(frozenset(q for q in s if rank[q] != low)):
+                        (stack if accepts(y) == verdict else found).append(y)
+                return sorted(found, key=sorted)
+
+        else:
+            table = acc.table
+            accepts = table.__contains__
+
+            def children(label: frozenset) -> list[frozenset]:
+                return _muller_children(label, table, loops)
+
+        def node(label, priority, parent):
+            states = frozenset(p for p, _, _ in label) if by_transition else label
+            return _TreeNode(label, states, priority, parent)
+
+        self.loops = loops
+        tops = loops(colors)
+        self.nodes = nodes = [node(s, 1 if accepts(s) else 0, -1) for s in tops]
+        queue = deque(range(len(nodes)))
+        while queue:
+            i = queue.popleft()
+            for child in children(nodes[i].label):
+                nodes[i].children.append(len(nodes))
+                queue.append(len(nodes))
+                nodes.append(node(child, nodes[i].priority + 1, i))
+        # a tree lies in one SCC, which is reachable whole or not at all
+        reachable = structure.reachable_states()
+        self.reachable = [i for i, x in enumerate(nodes) if x.states <= reachable]
+        # a state on no loop gets a node of its own that holds no color, so
+        # no step stays in it
+        on_loops = frozenset().union(*(nodes[r].states for r in range(len(tops))))
+        for q in range(n):
+            if q not in on_loops:
+                nodes.append(_TreeNode(frozenset(), frozenset([q]), _BETWEEN_SCCS, -1))
+        self.starts = [0] * n
+        for r, root in enumerate(nodes):
+            if root.parent < 0:
+                for q in root.states:
+                    self.starts[q] = self._down(r, q)
+
+    def _down(self, i: int, q: int) -> int:
+        """The leftmost leaf of T_q below node i, whose states hold q."""
+        nodes = self.nodes
+        while True:
+            for c in nodes[i].children:
+                if q in nodes[c].states:
+                    i = c
+                    break
+            else:
+                return i
+
+    def advance(self, leaf: int, t) -> tuple[int, int]:
+        """Process the step t = (q, a, q2) from a state whose leaf is
+        `leaf`: returns (next leaf, emitted priority).
+
+        The deepest node on the leaf's branch whose label holds t's color
+        (t, or q2 for a state table) emits its priority, and the run moves
+        on to the next of its children after the one on the branch (from
+        the first, when the leaf itself emits), cyclically, among those
+        that hold q2, and down to the leftmost leaf of T_q2; with no such
+        child it stays at that node.  A step out of the tree, to another
+        SCC, enters q2's own start leaf.
+        """
+        nodes = self.nodes
+        q2 = t[2]
+        color = t if self.by_transition else q2
+        below, i = -1, leaf
+        node = nodes[i]
+        while color not in node.label:
+            if node.parent < 0:
+                return self.starts[q2], _BETWEEN_SCCS
+            below, i = i, node.parent
+            node = nodes[i]
+        kids = node.children
+        if kids:
+            k = kids.index(below) + 1 if below >= 0 else 0
+            for c in kids[k:] + kids[:k]:
+                if q2 in nodes[c].states:
+                    return self._down(c, q2), node.priority
+        return i, node.priority
+
+
+def _chain_flags(tree: AcdTree) -> dict[str, bool]:
+    """weak, db and dc of the reachable loops of an acceptance's tree.
+
+    db: no superset of an accepting loop is rejecting, so it fails on a
+    rejecting node with children; dc fails on an accepting one; weak: both
+    hold.
+    """
+    split = {tree.nodes[i].priority % 2 for i in tree.reachable if tree.nodes[i].children}
+    return {"weak": not split, "db": 0 not in split, "dc": 1 not in split}
+
+
+def is_weak(acceptor: Acceptor) -> bool:
+    return _chain_flags(AcdTree(acceptor.structure, acceptor.acceptance))["weak"]
+
+
+def is_db(acceptor: Acceptor) -> bool:
     """No superset of an accepting loopable set may be rejecting."""
-    return _table_flags(loopable_sets(acceptor, capacity))["db"]
+    return _chain_flags(AcdTree(acceptor.structure, acceptor.acceptance))["db"]
 
 
-def is_dc(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> bool:
-    return _table_flags(loopable_sets(acceptor, capacity))["dc"]
+def is_dc(acceptor: Acceptor) -> bool:
+    return _chain_flags(AcdTree(acceptor.structure, acceptor.acceptance))["dc"]
 
 
 @dataclass(frozen=True)
@@ -343,76 +581,68 @@ class AlternationMeasure:
     witness_chain: tuple[LoopEntry, ...]
 
 
-def alternation_measure(
-    acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY
-) -> AlternationMeasure:
-    """Longest alternating inclusion chain over the loop table.
+def alternation_measure(acceptor: Acceptor) -> AlternationMeasure:
+    """Longest alternating inclusion chain of loops: the greatest depth in
+    the loop tree, along a branch of maximal loops.
 
-    Polarity convention: consider every entry that starts a maximal-length
-    alternating chain; keep only those lying in maximal SCCs not reachable
-    from another such SCC, and report the verdicts found among them (+ for
-    accepting starts, - for rejecting, +- for both).
+    Polarity convention: consider the deepest nodes; keep only those lying
+    in maximal SCCs not reachable from another deepest node's SCC, and
+    report the verdicts found among them (+ for accepting, - for
+    rejecting, +- for both).  The witness chain is the branch from the
+    sorted-least node kept up to its root.
     """
-    table = loopable_sets(acceptor, capacity)
-    ents = table.sorted_entries()
-    keys = [table.key_of(e) for e in ents]
-    order = sorted(range(len(ents)), key=lambda i: -len(keys[i]))
-    up = [0] * len(ents)
-    best_succ = [-1] * len(ents)
-    for i in order:
-        for j in order:
-            if keys[i] < keys[j]:
-                cand = up[j] + (1 if ents[i].accepting != ents[j].accepting else 0)
-                if cand > up[i]:
-                    up[i] = cand
-                    best_succ[i] = j
-    best = max(up)
-    starts = [i for i in range(len(ents)) if up[i] == best]
+    structure = acceptor.structure
+    tree = AcdTree(structure, acceptor.acceptance)
+    nodes = tree.nodes
+    depth: dict[int, int] = {}
+    for i in tree.reachable:
+        parent = nodes[i].parent
+        depth[i] = depth[parent] + 1 if parent >= 0 else 0
+    best = max(depth.values())
+    deepest = [i for i, d in depth.items() if d == best]
 
-    # keep the starts whose maximal SCC no other start's SCC reaches: a start
-    # at q is dropped when some start at p reaches q but q does not reach p
-    succ, _ = _state_graph(acceptor.structure)
-    everyone = (1 << acceptor.structure.state_count) - 1
-    anchor = {i: min(ents[i].states) for i in starts}
-    reach = {i: _reach(succ, anchor[i], everyone) for i in starts}
+    # keep the deepest nodes whose maximal SCC no other one's SCC reaches: a
+    # node at q is dropped when some node at p reaches q but q does not
+    # reach p
+    succ, _ = _state_graph(structure)
+    everyone = (1 << structure.state_count) - 1
+    anchor = {i: min(nodes[i].states) for i in deepest}
+    reach = {i: _reach(succ, anchor[i], everyone) for i in deepest}
     minimal = [
         i
-        for i in starts
-        if not any(reach[j] >> anchor[i] & 1 and not reach[i] >> anchor[j] & 1 for j in starts)
+        for i in deepest
+        if not any(reach[j] >> anchor[i] & 1 and not reach[i] >> anchor[j] & 1 for j in deepest)
     ]
-    verdicts = {ents[i].accepting for i in minimal}
-    if verdicts == {True}:
-        polarity = "+"
-    elif verdicts == {False}:
-        polarity = "-"
-    else:
-        polarity = "+-"
+    verdicts = {nodes[i].priority % 2 == 1 for i in minimal}
+    polarity = ("+" if True in verdicts else "") + ("-" if False in verdicts else "")
 
-    # canonical witness chain from the first minimal-SCC start in sort order
-    chain_start = min(minimal, key=lambda i: sorted(keys[i]))
     chain = []
-    i = chain_start
-    while i != -1:
-        chain.append(ents[i])
-        i = best_succ[i]
+    i = min(minimal, key=lambda i: sorted(nodes[i].label))
+    while i >= 0:
+        x = nodes[i]
+        states = x.states
+        trans = x.label if tree.by_transition else frozenset(
+            t for q in states for t in structure.transitions_from(q) if t[2] in states
+        )
+        chain.append(LoopEntry(states, trans, x.priority % 2 == 1))
+        i = x.parent
     return AlternationMeasure(best, polarity, tuple(chain))
 
 
-def _weak_union(acceptor: Acceptor, want_accepting: bool, capacity: int) -> frozenset[int]:
-    table = loopable_sets(acceptor, capacity)
-    if not _table_flags(table)["weak"]:
+def _weak_union(acceptor: Acceptor, want_accepting: bool) -> frozenset[int]:
+    """The states of the reachable loops with the wanted verdict: when no
+    node has children, those of the roots with that verdict."""
+    tree = AcdTree(acceptor.structure, acceptor.acceptance)
+    loops = [tree.nodes[i] for i in tree.reachable]
+    if any(x.children for x in loops):
         raise NotWeak("acceptance alternates along an inclusion chain")
-    out: set[int] = set()
-    for e in table.entries.values():
-        if e.accepting == want_accepting:
-            out |= e.states
-    return frozenset(out)
+    return frozenset().union(*(x.states for x in loops if (x.priority % 2 == 1) == want_accepting))
 
 
-def weak_to_buchi(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Acceptor:
+def weak_to_buchi(acceptor: Acceptor) -> Acceptor:
     """Equivalent Buchi acceptor on the same structure; requires weakness."""
-    return Acceptor(acceptor.structure, Buchi(_weak_union(acceptor, True, capacity)))
+    return Acceptor(acceptor.structure, Buchi(_weak_union(acceptor, True)))
 
 
-def weak_to_cobuchi(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Acceptor:
-    return Acceptor(acceptor.structure, CoBuchi(_weak_union(acceptor, False, capacity)))
+def weak_to_cobuchi(acceptor: Acceptor) -> Acceptor:
+    return Acceptor(acceptor.structure, CoBuchi(_weak_union(acceptor, False)))

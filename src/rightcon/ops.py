@@ -8,6 +8,7 @@ from .errors import UnsupportedConversion
 from .graph import bfs_order
 from .loops import (
     DEFAULT_CAPACITY,
+    as_parity,
     loopable_state_sets,
     loopable_transition_sets,
 )
@@ -22,7 +23,7 @@ from .model import (
     TransitionStructure,
     check_same_alphabet,
 )
-from .parity import ParityView, as_parity, find_discrepancy
+from .parity import ParityView, find_discrepancy
 
 
 @dataclass(frozen=True)

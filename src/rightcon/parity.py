@@ -2,15 +2,16 @@
 
 Each acceptor is read as a deterministic edge-colored parity machine, the
 ParityView, whose least priority seen infinitely often is odd exactly on
-accepted runs; its tree comes from the acceptance kind.  Büchi and
-co-Büchi conditions are read as their parity colorings, and a parity
-coloring needs no tree: the step into state q emits q's color, with each
-run of same-parity colors merged into one priority.  A Muller table, of
-states or of transitions, is read through its alternating cycle
-decomposition (Casares, Colcombet & Fijalkow, ICALP 2021): one tree per
-SCC of the state graph over the loops the automaton has, so the view has
-no leaf that no run inside one SCC can use.  Comparing two acceptors then
-reduces to a threshold-subgraph cycle search on the product.
+accepted runs.  Büchi and co-Büchi conditions are read as their parity
+colorings, and a parity coloring needs no tree: the step into state q
+emits q's color, with each run of same-parity colors merged into one
+priority.  A Muller table, of states or of transitions, is read through
+its alternating cycle decomposition, `loops.AcdTree` (Casares, Colcombet &
+Fijalkow, ICALP 2021): one tree per SCC of the state graph over the loops
+the automaton has, so the view has no leaf that no run inside one SCC can
+use.  The view keeps that tree, so a caller that also reads the loop
+structure builds it once.  Comparing two acceptors then reduces to a
+threshold-subgraph cycle search on the product.
 
 Everything on this path is numbered: a ParityView numbers its view
 states and tabulates their steps when it is built, the pair product
@@ -21,227 +22,11 @@ with CapacityExceeded past PRODUCT_CAPACITY nodes.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
 from .errors import CapacityExceeded
 from .graph import bfs_path, sccs
-from .loops import _edge_graph, _loopable_scc, _reach, _state_graph
-from .model import (
-    Acceptor,
-    Buchi,
-    CoBuchi,
-    LassoWord,
-    MullerStates,
-    MullerTransitions,
-    Parity,
-)
+from .loops import AcdTree, _priorities, as_parity
+from .model import Acceptor, Buchi, CoBuchi, LassoWord, Parity
 from .semantics import accepts
-
-
-def as_parity(acc: Buchi | CoBuchi, state_count: int) -> Parity:
-    """The 1/2 coloring of a Büchi condition, the 0/1 one of a co-Büchi one."""
-    if isinstance(acc, Buchi):
-        return Parity(tuple(1 if q in acc.accepting else 2 for q in range(state_count)))
-    return Parity(tuple(0 if q in acc.avoided else 1 for q in range(state_count)))
-
-
-def _priorities(colors: tuple[int, ...]) -> list[int]:
-    """Each color's priority once each run of same-parity colors, in
-    increasing order, is merged into one: the least color's parity plus
-    the parity changes up to the color."""
-    levels = sorted(set(colors))
-    rank = {levels[0]: levels[0] % 2}
-    for low, high in zip(levels, levels[1:]):
-        rank[high] = rank[low] + (high - low) % 2
-    return [rank[c] for c in colors]
-
-
-def _maximal(sets) -> list[frozenset]:
-    """The inclusion-maximal sets, sorted by their sorted colors, so in a
-    hash-independent order."""
-    kept: list[frozenset] = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(s < k for k in kept):
-            kept.append(s)
-    return sorted(kept, key=sorted)
-
-
-def _muller_children(label: frozenset, table: frozenset, loops) -> list[frozenset]:
-    """The maximal loops strictly inside `label` with the opposite verdict.
-
-    `loops` splits a set of colors into its loops.  Below a rejecting
-    label the children are the maximal table entries inside it that are
-    loops.  Below an accepting one, removing one color at a time and
-    splitting into loops, through accepting loops only, reaches every
-    maximal rejecting loop R: removing a color outside R leaves R inside
-    one loop, which is R or an accepting loop strictly between R and the
-    label.
-    """
-    if label not in table:
-        return _maximal([e for e in table if e < label and loops(e) == [e]])
-    found = set()
-    seen = {label}
-    stack = [label]
-    while stack:
-        entry = stack.pop()
-        for c in entry:
-            for y in loops(entry - {c}):
-                if y not in seen:
-                    seen.add(y)
-                    if y in table:
-                        stack.append(y)
-                    else:
-                        found.add(y)
-    return _maximal(found)
-
-
-@dataclass
-class _TreeNode:
-    label: frozenset  # its colors
-    states: frozenset  # the states its colors touch
-    priority: int
-    parent: int
-    children: list = field(default_factory=list)
-
-
-# The priority of a step between two SCCs.  A run takes finitely many, so
-# any fixed value will do.
-_BETWEEN_SCCS = 0
-
-
-class AcdTree:
-    """Alternating cycle decomposition of a Muller table (Casares,
-    Colcombet & Fijalkow, ICALP 2021): a forest of trees over loops.
-
-    The colors are states for a state table and transitions for a
-    transition table, whose loops are the inner transitions of the SCCs of
-    a transition set.  Each SCC of the state graph that holds a loop roots
-    a tree; a node's children are the maximal loops inside its label with
-    the opposite verdict, sorted by their sorted colors, and its priority
-    is its depth, plus one when its root accepts.  A state on no loop roots
-    a one-node tree with no colors.  The nodes are numbered breadth first.
-    A run at state q sits at a leaf of T_q, the nodes whose states hold q.
-    """
-
-    def __init__(self, structure, acc: MullerStates | MullerTransitions):
-        n = structure.state_count
-        self.by_transition = by_transition = isinstance(acc, MullerTransitions)
-        split: dict = {}
-        if by_transition:
-            edges = structure.all_transitions()
-            bit = {t: 1 << i for i, t in enumerate(edges)}
-            succ, pred = _edge_graph(frozenset(range(n)), edges)
-
-            def loops(label: frozenset) -> list[frozenset]:
-                """The inner transitions of the SCCs of `label`, by least state."""
-                if label not in split:
-                    mask = rest = 0
-                    for t in label:
-                        mask |= bit[t]
-                        rest |= 1 << t[0]
-                    out = []
-                    while rest:
-                        v = (rest & -rest).bit_length() - 1
-                        comp = _reach(succ, v, mask) & _reach(pred, v, mask)
-                        rest &= ~comp
-                        inner = frozenset(t for t in label if comp >> t[0] & 1 and comp >> t[2] & 1)
-                        if inner:
-                            out.append(inner)
-                    split[label] = out
-                return split[label]
-
-            colors = frozenset(edges)
-        else:
-            succ, pred = _state_graph(structure)
-
-            def loops(states: frozenset) -> list[frozenset]:
-                """The loopable SCCs of `states`, by least state."""
-                if len(states) < 2:
-                    # a single state is a loop only with its self-loop
-                    return [states] if any(q in structure.delta[q] for q in states) else []
-                if states not in split:
-                    rest = 0
-                    for q in states:
-                        rest |= 1 << q
-                    out = []
-                    while rest:
-                        v = (rest & -rest).bit_length() - 1
-                        comp = _loopable_scc(succ, pred, v, rest)
-                        rest &= ~(comp or 1 << v)
-                        if comp:
-                            out.append(frozenset(q for q in states if comp >> q & 1))
-                    split[states] = out
-                return split[states]
-
-            colors = frozenset(range(n))
-
-        def node(label, priority, parent):
-            states = frozenset(p for p, _, _ in label) if by_transition else label
-            return _TreeNode(label, states, priority, parent)
-
-        table = acc.table
-        tops = loops(colors)
-        self.nodes = nodes = [node(s, 1 if s in table else 0, -1) for s in tops]
-        queue = deque(range(len(nodes)))
-        while queue:
-            i = queue.popleft()
-            for child in _muller_children(nodes[i].label, table, loops):
-                nodes[i].children.append(len(nodes))
-                queue.append(len(nodes))
-                nodes.append(node(child, nodes[i].priority + 1, i))
-        # a state on no loop gets a node of its own that holds no color, so
-        # no step stays in it
-        on_loops = frozenset().union(*(nodes[r].states for r in range(len(tops))))
-        for q in range(n):
-            if q not in on_loops:
-                nodes.append(_TreeNode(frozenset(), frozenset([q]), _BETWEEN_SCCS, -1))
-        self.starts = [0] * n
-        for r, root in enumerate(nodes):
-            if root.parent < 0:
-                for q in root.states:
-                    self.starts[q] = self._down(r, q)
-
-    def _down(self, i: int, q: int) -> int:
-        """The leftmost leaf of T_q below node i, whose states hold q."""
-        nodes = self.nodes
-        while True:
-            for c in nodes[i].children:
-                if q in nodes[c].states:
-                    i = c
-                    break
-            else:
-                return i
-
-    def advance(self, leaf: int, t) -> tuple[int, int]:
-        """Process the step t = (q, a, q2) from a state whose leaf is
-        `leaf`: returns (next leaf, emitted priority).
-
-        The deepest node on the leaf's branch whose label holds t's color
-        (t, or q2 for a state table) emits its priority, and the run moves
-        on to the next of its children after the one on the branch (from
-        the first, when the leaf itself emits), cyclically, among those
-        that hold q2, and down to the leftmost leaf of T_q2; with no such
-        child it stays at that node.  A step out of the tree, to another
-        SCC, enters q2's own start leaf.
-        """
-        nodes = self.nodes
-        q2 = t[2]
-        color = t if self.by_transition else q2
-        below, i = -1, leaf
-        node = nodes[i]
-        while color not in node.label:
-            if node.parent < 0:
-                return self.starts[q2], _BETWEEN_SCCS
-            below, i = i, node.parent
-            node = nodes[i]
-        kids = node.children
-        if kids:
-            k = kids.index(below) + 1 if below >= 0 else 0
-            for c in kids[k:] + kids[:k]:
-                if q2 in nodes[c].states:
-                    return self._down(c, q2), node.priority
-        return i, node.priority
 
 
 class ParityView:
@@ -256,7 +41,8 @@ class ParityView:
     its target's merged priority.  For a Muller table they are the (state,
     leaf) pairs of its AcdTree reachable from (q, its start leaf) for each
     state q, numbered breadth first, the roots first; the tree's `advance`
-    moves a run on by one step.
+    moves a run on by one step.  `tree` is that AcdTree, or None for a
+    priority view.
     """
 
     def __init__(self, acceptor: Acceptor):
@@ -270,11 +56,12 @@ class ParityView:
             acc = as_parity(acc, structure.state_count)
         if isinstance(acc, Parity):
             rank = _priorities(acc.colors)
+            self.tree = None
             self.states = list(range(structure.state_count))
             self.nxt = [q2 for row in delta for q2 in row]
             self.pri = [rank[q2] for q2 in self.nxt]
             return
-        tree = AcdTree(structure, acc)
+        self.tree = tree = AcdTree(structure, acc)
         # the (automaton state, leaf) pair of each view state
         pairs = list(enumerate(tree.starts))
         ids = {s: q for q, s in enumerate(pairs)}

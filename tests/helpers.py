@@ -39,6 +39,7 @@ from rightcon.congruence import (
     shortest_word_to,
 )
 from rightcon.loops import loopable_state_sets, loopable_transition_sets
+from rightcon.parity import ParityView
 
 AB = Alphabet(("a", "b"))
 
@@ -168,7 +169,7 @@ def naive_sampled_distinguished(acceptor, samples: int, rng: random.Random) -> b
     for step in range(samples):
         if all(len(b) == 1 for b in blocks):
             return True
-        if step == 1000 and any(len(b) > 1 for b in partition_language_equivalent(acceptor)):
+        if step == 1000 and any(len(b) > 1 for b in partition_language_equivalent(ParityView(acceptor))):
             return False
         spoke_len = 0
         while rng.random() < 0.5 and spoke_len < 2 * n:
@@ -303,14 +304,14 @@ def naive_transitions_connect(states, t_set):
 
 
 def brute_acd(acceptor):
-    """The alternating cycle decomposition of a Muller table, by brute
-    force: one tree per SCC that holds a loop, that is per maximal loop, as
-    nested (colors, accepting, children) triples.  A node's children are
-    the maximal loops inside its colors with the opposite verdict, sorted
-    by their sorted colors.  The colors of a loop are the states of one of
-    brute_loopable_state_sets for a state table, and the transitions of
-    one of brute_loopable_transition_sets for a transition table; the
-    verdicts are naive_verdict's."""
+    """The alternating cycle decomposition of an acceptance condition, by
+    brute force: one tree per SCC that holds a loop, that is per maximal
+    loop, as nested (colors, accepting, children) triples.  A node's
+    children are the maximal loops inside its colors with the opposite
+    verdict, sorted by their sorted colors.  The colors of a loop are the
+    transitions of one of brute_loopable_transition_sets for a transition
+    table, and the states of one of brute_loopable_state_sets for every
+    other kind; the verdicts are naive_verdict's."""
     acc = acceptor.acceptance
     if acc.kind == "tmuller":
         loops = [(t, s, t) for s, t in brute_loopable_transition_sets(acceptor.structure)]
@@ -360,6 +361,43 @@ def naive_chain_flags(entries):
         if not (db or dc):
             break
     return {"weak": db and dc, "db": db, "dc": dc}
+
+
+def naive_alternation(table, structure):
+    """(max alternations, polarity) of a loop table on `structure`, by the
+    pairwise chain count: up[i] is the most verdict changes along an
+    inclusion chain of entries upward from entry i, found from the larger
+    entries down.  The polarity is the verdicts of the entries with the
+    most whose maximal SCC no other such entry's SCC reaches (+, - or +-),
+    reachability found by naive closure."""
+    ents = table.sorted_entries()
+    keys = [table.key_of(e) for e in ents]
+    order = sorted(range(len(ents)), key=lambda i: -len(keys[i]))
+    up = [0] * len(ents)
+    for i in order:
+        for j in order:
+            if keys[i] < keys[j]:
+                up[i] = max(up[i], up[j] + (ents[i].accepting != ents[j].accepting))
+    best = max(up)
+    starts = [i for i in range(len(ents)) if up[i] == best]
+
+    def reach(q):
+        seen, stack = {q}, [q]
+        while stack:
+            for r in structure.delta[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        return seen
+
+    anchor = {i: min(ents[i].states) for i in starts}
+    reached = {i: reach(anchor[i]) for i in starts}
+    minimal = [
+        i for i in starts
+        if not any(anchor[i] in reached[j] and anchor[j] not in reached[i] for j in starts)
+    ]
+    verdicts = {ents[i].accepting for i in minimal}
+    return best, ("+" if True in verdicts else "") + ("-" if False in verdicts else "")
 
 
 # ------------------------------------------------------- forced loop lassos

@@ -28,7 +28,7 @@ from rightcon import (
 )
 from rightcon import parity
 from rightcon.cli import main
-from rightcon.congruence import _parity_certificate, partition_language_equivalent
+from rightcon.congruence import partition_language_equivalent
 from rightcon.dfa import Dfa
 from rightcon.errors import CapacityExceeded, NotMuller, NotTrivial
 from rightcon.model import Alphabet, alphabet
@@ -49,11 +49,11 @@ from helpers import (
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# Prints every fixture's classify counterexamples and certificates as JSON,
-# the certificates with every set sorted.
+# Prints every fixture's classify counterexamples and certificates, and its
+# alternation_measure witness chain, as JSON, with every set sorted.
 COUNTEREXAMPLES_SCRIPT = """
 import json
-from rightcon import classify, fixture, fixture_names
+from rightcon import alternation_measure, classify, fixture, fixture_names
 
 def canon(x):
     if isinstance(x, frozenset):
@@ -73,6 +73,10 @@ for name in fixture_names():
         flag: [cert.kind] + [canon(v) for v in vars(cert).values()]
         for flag, cert in c.certificates.items()
     }
+    out[name]["chain"] = [
+        [canon(e.states), canon(e.transitions), e.accepting]
+        for e in alternation_measure(fixture(name)).witness_chain
+    ]
 print(json.dumps(out))
 """
 
@@ -175,7 +179,7 @@ class TestQuotient:
         inputs += [(f"x/{n}/{i}", random_dma(n, f"x/{i}")) for n in range(3, 7) for i in range(15)]
         merged = set()
         for name, a in inputs:
-            blocks = partition_language_equivalent(a)
+            blocks = partition_language_equivalent(parity.ParityView(a))
             block_of = {q: i for i, b in enumerate(blocks) for q in b}
             assert sum(map(len, blocks)) == len(block_of), name
             states = sorted(a.structure.reachable_states())
@@ -441,25 +445,32 @@ class TestClassify:
                     cand = validate(c.quotient.structure, cert)
                     assert equivalent(a, cand)[0]
 
-    def test_parity_certificate_ignores_table_order(self):
-        # classify hands the quotient loop table to the peeling in the order
-        # the loop enumeration lists sets; the coloring must not depend on it
-        rng = random.Random("classify/ip-order")
-        inputs = [(name, a) for name, a in all_fixtures()]
-        inputs += [(i, random_acceptor(rng)) for i in range(60)]
+    def test_ip_counterexample_matches_the_forced_verdicts(self):
+        # the union_closure set s is a projected loop whose lassos get
+        # verdict v, and the projected loops inside s with the other
+        # verdict cover it, so no coloring of the quotient gives both
+        rng = random.Random("classify/ip-counterexample")
+        inputs = list(all_fixtures())
+        inputs += [(f"dma/{n}/c/{i}", random_dma(n, f"c/{i}")) for n in (3, 4) for i in range(40)]
+        inputs += [
+            (f"{kind}/{i}", random_acceptor(rng, max_states=5, kinds=(kind,)))
+            for kind in ACCEPTANCE_KINDS
+            for i in range(30)
+        ]
         checked = 0
         for tag, a in inputs:
             c = classify(a)
-            if not c.flags["IP"]:
+            if c.flags["IP"] or not c.flags["IM"]:
                 continue
-            # the quotient image of every loop with the verdict its lasso gets
-            items = list({s: v for s, _, v in forced_verdicts(a, c.quotient)}.items())
-            for _ in range(6):
-                got = _parity_certificate(c.quotient.structure, dict(items))
-                assert got == c.certificates["IP"], tag
-                rng.shuffle(items)
+            kind, s, v = c.counterexamples["IP"]
+            assert kind == "union_closure", tag
+            forced: dict = {}
+            for s2, _, v2 in forced_verdicts(a, c.quotient):
+                forced.setdefault(s2, set()).add(v2)
+            assert forced.get(s) == {v}, tag
+            assert frozenset().union(*(s2 for s2, vs in forced.items() if s2 <= s and vs == {not v})) == s, tag
             checked += 1
-        assert checked >= 40
+        assert checked >= 30
 
 
 class TestTrivialDecomposition:

@@ -38,6 +38,7 @@ from helpers import (
     all_fixtures,
     brute_loopable_state_sets,
     brute_loopable_transition_sets,
+    naive_alternation,
     naive_chain_flags,
     naive_strongly_connected,
     naive_transitions_connect,
@@ -45,6 +46,26 @@ from helpers import (
     random_acceptor,
     random_structure,
 )
+
+
+def chain_inputs():
+    """Every fixture, seeded draws of each kind with up to 6 states, and an
+    acceptor whose alternating SCC is unreachable: the loop tree spans
+    every state, while the loop table lists only the reachable ones."""
+    rng = random.Random("loops/chains")
+    out = all_fixtures()
+    out += [
+        (f"{kind}/{i}", random_acceptor(rng, max_states=6, kinds=(kind,)))
+        for kind in ACCEPTANCE_KINDS
+        for i in range(30)
+    ]
+    # a rejecting self-loop at 0; from 1 and 2, which 0 does not reach,
+    # {1, 2} rejects and {1} accepts
+    structure = make_structure(
+        AB, 3, 0, {(0, "a"): 0, (0, "b"): 0, (1, "a"): 1, (1, "b"): 2, (2, "a"): 1, (2, "b"): 2}
+    )
+    out.append(("unreachable", validate(structure, muller([1]))))
+    return out
 
 
 def table_as_dict(acceptor):
@@ -249,10 +270,14 @@ class TestChainClasses:
             assert is_weak(a) == w, name
             assert is_db(a) == db, name
             assert is_dc(a) == dc, name
+        for name, a in chain_inputs():
+            table = loopable_sets(a)
+            want = naive_chain_flags([(table.key_of(e), e.accepting) for e in table.entries.values()])
+            assert {"weak": is_weak(a), "db": is_db(a), "dc": is_dc(a)} == want, name
 
     def test_classify_chain_flags_match_pairwise_oracle(self):
         # the 5-state conversion has 6,472 transition-keyed entries
-        inputs = all_fixtures() + [("tmuller/5", convert(random_dma(5, "c/0"), "tmuller"))]
+        inputs = chain_inputs() + [("tmuller/5", convert(random_dma(5, "c/0"), "tmuller"))]
         for name, a in inputs:
             table = loopable_sets(a)
             want = naive_chain_flags([(table.key_of(e), e.accepting) for e in table.entries.values()])
@@ -291,15 +316,19 @@ class TestAlternationMeasure:
         assert [e.accepting for e in m.witness_chain] == [True]
 
     def test_witness_chain_alternates(self):
-        for name in ("fig3_M", "fig2_P", "fig2_M"):
-            a = fixture(name)
+        # the measure and polarity against the pairwise chain count; the
+        # chain is a branch of table entries, each with its own verdict
+        for name, a in chain_inputs():
             table = loopable_sets(a)
             m = alternation_measure(a)
+            assert (m.max_alternations, m.polarity) == naive_alternation(table, a.structure), name
             chain = m.witness_chain
-            assert len(chain) == m.max_alternations + 1
+            assert len(chain) == m.max_alternations + 1, name
+            for e in chain:
+                assert table.entries.get(table.key_of(e)) == e, name
             for small, big in zip(chain, chain[1:]):
-                assert table.key_of(small) < table.key_of(big)
-                assert small.accepting != big.accepting
+                assert table.key_of(small) < table.key_of(big), name
+                assert small.accepting != big.accepting, name
 
     def test_weak_means_zero_alternations(self):
         for name, a in all_fixtures():

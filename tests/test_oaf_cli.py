@@ -1,7 +1,5 @@
 """Text format round-trips and the command-line interface."""
 
-import sys
-
 import pytest
 
 from rightcon import (
@@ -260,16 +258,15 @@ class TestCli:
     def test_classify_computes_the_quotient_once(self, capsys, monkeypatch, fig3_path):
         import rightcon.congruence
 
-        original = rightcon.congruence.rightcon_quotient
+        original = rightcon.congruence._quotient
         calls = []
 
-        def counted(acceptor):
-            calls.append(acceptor)
-            return original(acceptor)
+        def counted(view):
+            calls.append(view)
+            return original(view)
 
-        for module in [m for name, m in sys.modules.items() if name.startswith("rightcon")]:
-            if getattr(module, "rightcon_quotient", None) is original:
-                monkeypatch.setattr(module, "rightcon_quotient", counted)
+        # classify and rightcon_quotient both build the quotient through it
+        monkeypatch.setattr(rightcon.congruence, "_quotient", counted)
         code, _ = self.run(capsys, "classify", fig3_path)
         assert code == 0
         assert len(calls) == 1

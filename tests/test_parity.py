@@ -4,10 +4,12 @@ every view's runs against naive runs."""
 import itertools
 import random
 
-from rightcon import LassoWord, convert, random_dma, wagner_family
-from rightcon.parity import AcdTree, ParityView
+from rightcon import LassoWord, Parity, convert, make_structure, random_dma, validate, wagner_family
+from rightcon.loops import AcdTree
+from rightcon.parity import ParityView
 
 from helpers import (
+    AB,
     ACCEPTANCE_KINDS,
     all_fixtures,
     brute_acd,
@@ -36,6 +38,13 @@ def _tree_inputs():
     yield "wagner+-/1/1", wagner_family(1, 1, "+-")
     for n in (3, 4):
         yield f"tmuller/{n}", convert(random_dma(n, "c/0"), "tmuller")
+    # without the priority-0 state, state 1 is on no loop and the
+    # priority-2 self-loop at 2 rejects like the root: it is split again,
+    # so the root has no child
+    structure = make_structure(
+        AB, 3, 0, {(0, "a"): 1, (0, "b"): 2, (1, "a"): 0, (1, "b"): 0, (2, "a"): 2, (2, "b"): 0}
+    )
+    yield "parity/split-again", validate(structure, Parity((0, 1, 2)))
 
 
 def _acd_draws():
@@ -43,8 +52,9 @@ def _acd_draws():
 
 
 def test_acd_matches_brute_force():
-    muller = [(tag, a) for tag, a in _tree_inputs() if a.acceptance.kind in ("muller", "tmuller")]
-    for tag, a in muller + _acd_draws():
+    # every kind: Büchi, co-Büchi and parity conditions through the split
+    # by merged priorities, Muller tables through _muller_children
+    for tag, a in list(_tree_inputs()) + _acd_draws():
         tree = AcdTree(a.structure, a.acceptance)
         nodes = tree.nodes
         if a.acceptance.kind == "tmuller":
@@ -67,9 +77,13 @@ def test_acd_matches_brute_force():
         for i in roots:
             if i not in loops:
                 assert len(nodes[i].states) == 1 and not nodes[i].children, tag
-        # brute_acd sees the reachable states only
+        # brute_acd sees the reachable states only, and so does `reachable`
         reachable = a.structure.reachable_states()
-        assert [nested(i) for i in loops if nodes[i].states <= reachable] == brute_acd(a), tag
+        kept = [i for i in loops if nodes[i].states <= reachable]
+        assert [nested(i) for i in kept] == brute_acd(a), tag
+        for i in kept:  # grows while it is read
+            kept += nodes[i].children
+        assert sorted(kept) == tree.reachable, tag
 
 
 def _view_accepts(view, w, state):
