@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .congruence import partition_language_equivalent
@@ -101,40 +102,77 @@ class ExperimentReport:
         return out
 
 
-def _draw_lasso(rng: random.Random, n: int, k: int) -> tuple[list[int], list[int]]:
-    """Spoke and cycle, as symbol indices over k symbols, of one sampled
-    lasso for an n-state acceptor.
+def _lasso_draws(rng: random.Random, n: int, k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The lassos sampled for an n-state acceptor over k symbols, one per
+    next(): spoke and cycle as lists of symbol indices.
 
     The spoke has geometric length, at most 2n, and its symbols are
     rng.randrange(k); the cycle has rng.randint(1, 2n) symbols.  Those calls
     are inlined as the random module makes them, getrandbits of the bound's
     bit length redrawn until it falls below the bound, so the draws and the
-    state of rng after them are the same.
+    state of rng after each of them are the same.
     """
     random_ = rng.random
     getrandbits = rng.getrandbits
     k_bits = k.bit_length()
     width = 2 * n
-    spoke_len = 0
-    while random_() < 0.5 and spoke_len < width:
-        spoke_len += 1
-    spoke = []
-    for _ in range(spoke_len):
-        i = getrandbits(k_bits)
-        while i >= k:
-            i = getrandbits(k_bits)
-        spoke.append(i)
     width_bits = width.bit_length()
-    cycle_len = getrandbits(width_bits)
-    while cycle_len >= width:
-        cycle_len = getrandbits(width_bits)
-    cycle = []
-    for _ in range(cycle_len + 1):
-        i = getrandbits(k_bits)
-        while i >= k:
+    while True:
+        spoke_len = 0
+        while random_() < 0.5 and spoke_len < width:
+            spoke_len += 1
+        spoke = []
+        for _ in range(spoke_len):
             i = getrandbits(k_bits)
-        cycle.append(i)
-    return spoke, cycle
+            while i >= k:
+                i = getrandbits(k_bits)
+            spoke.append(i)
+        cycle_len = getrandbits(width_bits)
+        while cycle_len >= width:
+            cycle_len = getrandbits(width_bits)
+        cycle = []
+        for _ in range(cycle_len + 1):
+            i = getrandbits(k_bits)
+            while i >= k:
+                i = getrandbits(k_bits)
+            cycle.append(i)
+        yield spoke, cycle
+
+
+class _Walks(dict):
+    """The state a word leads to from each state, read on first lookup."""
+
+    def __init__(self, delta, word):
+        self.delta = delta
+        self.word = word
+
+    def __missing__(self, q: int) -> int:
+        p = q
+        for i in self.word:
+            p = self.delta[p][i]
+        self[q] = p
+        return p
+
+
+def _word_maps(structure: TransitionStructure):
+    """The function from a word, as symbol indices, to m with m[q] the
+    state the word leads to from q: bytes composed by one translate per
+    symbol over its 256-byte column of delta or, past 256 states where a
+    byte cannot name a state, a _Walks."""
+    delta = structure.delta
+    n = structure.state_count
+    if n > 256:
+        return lambda word: _Walks(delta, word)
+    columns = [bytes(row[i] for row in delta).ljust(256, b"\0") for i in range(len(structure.alphabet))]
+    identity = bytes(range(n))
+
+    def compose(word):
+        m = identity
+        for i in word:
+            m = m.translate(columns[i])
+        return m
+
+    return compose
 
 
 def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random) -> bool:
@@ -143,20 +181,23 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
 
     Each step draws one lasso and splits every block of states that no
     earlier lasso told apart by their verdicts on it.  Only blocks of two or
-    more states are kept.  A block of three or more states is grouped by
-    the state the spoke leads to, and those groups by where one reading of
-    the cycle leads from there: the run of cycle^omega from p and from
-    f(p), where f reads the cycle once, has the same infinity sets.  A
-    block left in one group cannot split.  A block of two states a, b is
-    kept as the pair index a·n + b, and the pair table, built when the
-    first pair appears, moves it with one lookup per symbol:
-    pd[i][a·n + b] = delta(a, i)·n + delta(b, i).  The diagonal a·n + a is
-    a multiple of n + 1, and a pair that lands on it after the spoke or
-    after one reading of the cycle cannot split.  The lasso's LoopVerdicts
-    is built only when some block's runs stay apart, and is then shared by
-    that lasso's blocks, so each boundary state reads the cycle at most
-    once more per lasso; the table of a cycle of at most _KEPT_CYCLE_LEN
-    symbols is kept for the later lassos that draw the same cycle.
+    more states are kept.  The run of cycle^omega from p and from g(p),
+    where g reads the cycle once, has the same infinity sets, so states
+    whose runs meet after the spoke and some readings of the cycle cannot
+    split.  The cycle is read on until the runs meet, repeat or have read
+    it n times, as runs that meet do so within n - 1 readings.  A block of
+    three or more states is read through the maps of the spoke, f, and of
+    the cycle, g, composed once per lasso (_word_maps): its states are
+    grouped by g[f[q]], and g is applied to the set of those ends.  A
+    block of two states a, b is kept as the pair index a·n + b, and the
+    pair table, built when the first pair appears, moves it with one lookup
+    per symbol: pd[i][a·n + b] = delta(a, i)·n + delta(b, i); the runs
+    meet on the diagonal, the multiples of n + 1.  The lasso's
+    LoopVerdicts is built only when the runs of some block stay apart, and
+    is then shared by that lasso's blocks, so each boundary state reads the
+    cycle at most once more per lasso; the table of a cycle of at most
+    _KEPT_CYCLE_LEN symbols is kept for the later lassos that draw the same
+    cycle.
 
     Equivalent states are never split, so if the exact partition is not
     discrete the answer is already False.  It is consulted once, after the
@@ -172,6 +213,8 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
     blocks = [list(range(n))] if n > 2 else []
     pairs = [1] if n == 2 else []  # the pair index of states 0 and 1
     pd = None
+    word_map = _word_maps(structure)
+    draws = _lasso_draws(rng, n, k)
     memo: dict[tuple[int, ...], LoopVerdicts] = {}
 
     def loop_verdicts(cycle):
@@ -188,7 +231,7 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
             return True
         if step == warmup and any(len(b) > 1 for b in partition_language_equivalent(ParityView(acceptor))):
             return False
-        spoke, cycle = _draw_lasso(rng, n, k)
+        spoke, cycle = next(draws)
         verdicts = None
         if pairs:
             if pd is None:
@@ -196,53 +239,51 @@ def _sampled_distinguished(acceptor: Acceptor, samples: int, rng: random.Random)
                     [delta[a][i] * n + delta[b][i] for a in range(n) for b in range(n)]
                     for i in range(k)
                 ]
-            kept = []
+            parted = None
             for x in pairs:
                 y = x
                 for i in spoke:
                     y = pd[i][y]
-                if y % diagonal:
+                seen = []
+                while y % diagonal and y not in seen and len(seen) < n:
+                    seen.append(y)
                     for i in cycle:
                         y = pd[i][y]
-                    if y % diagonal:
-                        if verdicts is None:
-                            verdicts = loop_verdicts(cycle)
-                        if verdicts[y // n] != verdicts[y % n]:
-                            continue
-                # the two runs meet after the spoke or after one reading of
-                # the cycle, or they stay apart with the same verdict
-                kept.append(x)
-            pairs = kept
-        split = []
-        for block in blocks:
-            ends: dict[int, list[int]] = {}
-            for q in block:
-                p = q
-                for i in spoke:
-                    p = delta[p][i]
-                ends.setdefault(p, []).append(q)
-            if len(ends) > 1:
-                loops: dict[int, list[int]] = {}
-                for p, merged in ends.items():
-                    for i in cycle:
-                        p = delta[p][i]
-                    loops.setdefault(p, []).extend(merged)
-                if len(loops) > 1:
+                if y % diagonal:
+                    # the runs stay apart
                     if verdicts is None:
                         verdicts = loop_verdicts(cycle)
-                    accepted, rejected = [], []
-                    for p, merged in loops.items():
-                        (accepted if verdicts[p] else rejected).extend(merged)
-                    for part in (accepted, rejected):
-                        if len(part) > 2:
-                            split.append(part)
-                        elif len(part) == 2:
-                            pairs.append(part[0] * n + part[1])
+                    if verdicts[y // n] != verdicts[y % n]:
+                        if parted is None:
+                            parted = set()
+                        parted.add(x)
+            if parted:
+                pairs = [x for x in pairs if x not in parted]
+        if blocks:
+            f = word_map(spoke)
+            g = word_map(cycle)
+            split = []
+            for block in blocks:
+                ends = {g[f[q]] for q in block}
+                seen = []
+                while len(ends) > 1 and ends not in seen and len(seen) < n:
+                    seen.append(ends)
+                    ends = {g[p] for p in ends}
+                if len(ends) == 1:
+                    # the runs of all its states meet
+                    split.append(block)
                     continue
-            # the runs of all its states merge after the spoke or after
-            # one reading of the cycle, so they share their infinity sets
-            split.append(block)
-        blocks = split
+                if verdicts is None:
+                    verdicts = loop_verdicts(cycle)
+                accepted, rejected = [], []
+                for q in block:
+                    (accepted if verdicts[g[f[q]]] else rejected).append(q)
+                for part in (accepted, rejected):
+                    if len(part) > 2:
+                        split.append(part)
+                    elif len(part) == 2:
+                        pairs.append(part[0] * n + part[1])
+            blocks = split
     return not blocks and not pairs
 
 

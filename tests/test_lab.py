@@ -16,7 +16,7 @@ from rightcon import (
     validate,
 )
 import rightcon.lab
-from rightcon.lab import _sampled_distinguished
+from rightcon.lab import _lasso_draws, _sampled_distinguished, _word_maps
 from rightcon.graph import sccs
 from rightcon.model import LassoWord, MullerStates
 
@@ -134,45 +134,37 @@ class TestSampledReplayOracle:
         a = random_dma(size, f"1/{size}/{trial}")
         assert self.agree(a, samples, f"lasso/1/{size}/{trial}") is verdict
 
-    def test_no_verdicts_when_runs_merge(self, monkeypatch):
-        # every lasso's LoopVerdicts is recorded by the step that drew it;
-        # the live blocks are re-derived from naive verdicts on the same
-        # lassos, and a lasso on which every live block's runs meet after
-        # the spoke or after one reading of the cycle builds none
+    @staticmethod
+    def recorded_replays(monkeypatch):
+        """Criterion 5's draws (5, 76), (6, 67) and (8, 69), each replayed
+        over 2000 lassos.  Yields size, trial, the acceptor, the lassos
+        drawn, the steps whose lasso built a LoopVerdicts, and the blocks
+        live before each step, re-derived from naive verdicts on the same
+        lassos."""
         lassos, built = [], []
-        draw = rightcon.lab._draw_lasso
+        draws = rightcon.lab._lasso_draws
 
-        def recording_draw(rng, n, k):
-            lassos.append(draw(rng, n, k))
-            return lassos[-1]
+        def recording_draws(rng, n, k):
+            for lasso in draws(rng, n, k):
+                lassos.append(lasso)
+                yield lasso
 
         class RecordingVerdicts(rightcon.lab.LoopVerdicts):
             def __init__(self, acceptor, cycle):
                 super().__init__(acceptor, cycle)
                 built.append(len(lassos) - 1)
 
-        monkeypatch.setattr(rightcon.lab, "_draw_lasso", recording_draw)
+        monkeypatch.setattr(rightcon.lab, "_lasso_draws", recording_draws)
         monkeypatch.setattr(rightcon.lab, "LoopVerdicts", RecordingVerdicts)
-        merging = 0
         for size, trial in ((5, 76), (6, 67), (8, 69)):
             a = random_dma(size, f"1/{size}/{trial}")
             lassos.clear()
             built.clear()
             _sampled_distinguished(a, 2000, random.Random(f"lasso/1/{size}/{trial}"))
-            assert len(built) == len(set(built)), "one LoopVerdicts per lasso at most"
-            delta = a.structure.delta
             symbols = a.alphabet.symbols
-            blocks = [list(range(size))]
-            for step, (spoke, cycle) in enumerate(lassos):
-                meet = True
-                for block in blocks:
-                    ends = set(block)
-                    for i in spoke + cycle:
-                        ends = {delta[q][i] for q in ends}
-                    meet = meet and len(ends) == 1
-                if meet:
-                    merging += 1
-                    assert step not in built, (size, trial, step)
+            blocks, live = [list(range(size))], []
+            for spoke, cycle in lassos:
+                live.append(blocks)
                 w = LassoWord(tuple(symbols[i] for i in spoke), tuple(symbols[i] for i in cycle))
                 blocks = [
                     part
@@ -180,8 +172,73 @@ class TestSampledReplayOracle:
                     for verdict in (True, False)
                     if len(part := [q for q in block if naive_accepts(a, w, q) is verdict]) > 1
                 ]
+            yield size, trial, a, list(lassos), list(built), live
+
+    @staticmethod
+    def ends(delta, states, word):
+        for i in word:
+            states = {delta[q][i] for q in states}
+        return states
+
+    def test_no_verdicts_when_runs_merge(self, monkeypatch):
+        # every lasso's LoopVerdicts is recorded by the step that drew it;
+        # a lasso on which every live block's runs meet after the spoke or
+        # after one reading of the cycle builds none
+        merging = 0
+        for size, trial, a, lassos, built, live in self.recorded_replays(monkeypatch):
+            assert len(built) == len(set(built)), "one LoopVerdicts per lasso at most"
+            delta = a.structure.delta
+            for step, ((spoke, cycle), blocks) in enumerate(zip(lassos, live)):
+                if all(len(self.ends(delta, block, spoke + cycle)) == 1 for block in blocks):
+                    merging += 1
+                    assert step not in built, (size, trial, step)
             assert built
         assert merging > 1000
+
+    def test_no_verdicts_when_runs_meet_later(self, monkeypatch):
+        # runs still apart after one reading of the cycle may meet after
+        # more; after n more readings every end lies on a cycle of the
+        # cycle's map, and ends that have not met by then never do.  A
+        # lasso on which the ends of every live block come to one state
+        # builds no LoopVerdicts, and more lassos do so than meet after
+        # one reading
+        once = later = 0
+        for size, trial, a, lassos, built, live in self.recorded_replays(monkeypatch):
+            delta = a.structure.delta
+            for step, ((spoke, cycle), blocks) in enumerate(zip(lassos, live)):
+                ends = [self.ends(delta, block, spoke + cycle) for block in blocks]
+                once += all(len(e) == 1 for e in ends)
+                if all(len(self.ends(delta, e, cycle * size)) == 1 for e in ends):
+                    later += 1
+                    assert step not in built, (size, trial, step)
+        assert later > once
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_word_maps_either_side_of_the_byte_limit(self, n):
+        # a byte names a state up to 256 states; past that the maps walk
+        # the word from each state looked up
+        rng = random.Random(f"maps/{n}")
+        s = random_structure(rng, n, Alphabet(("a", "b", "c")))
+        word_map = _word_maps(s)
+        assert isinstance(word_map([0]), bytes) is (n <= 256)
+        draws = _lasso_draws(rng, n, 3)
+        for _ in range(3):
+            for word in next(draws):
+                m = word_map(word)
+                letters = [s.alphabet.symbols[i] for i in word]
+                assert [m[q] for q in range(n)] == [s.run(q, letters) for q in range(n)]
+
+    @pytest.mark.parametrize("kind", ["buchi", "muller"])
+    def test_past_the_byte_limit(self, kind):
+        # the blocks of a 257-state acceptor read their ends through the
+        # walking maps.  The naive replay reads each cycle 2n times from
+        # every live state, so the lassos' seed is one whose first three
+        # cycles are short (14, 10 and 6 symbols, after spokes of 6, 0
+        # and 2)
+        rng = random.Random(f"replay/257/{kind}")
+        s = random_structure(rng, 257)
+        a = validate(s, random_acceptance(rng, s, kind))
+        self.agree(a, 3, "replay/257/3157")
 
     @pytest.mark.parametrize("samples", [500, 5000])
     def test_reset_letter_merges_runs(self, samples):

@@ -9,7 +9,7 @@ module's internals, so this module also runs without pytest:
 
 import random
 
-from rightcon.lab import _draw_lasso
+from rightcon.lab import _lasso_draws
 
 STEPS = 10_000
 
@@ -29,8 +29,9 @@ def test_draws_match_randrange_and_randint():
         for k in (1, 2, 3, 4):
             seed = f"draws/{n}/{k}"
             ours, twin = random.Random(seed), random.Random(seed)
+            draws = _lasso_draws(ours, n, k)
             for step in range(STEPS):
-                assert _draw_lasso(ours, n, k) == reference_lasso(twin, n, k), (n, k, step)
+                assert next(draws) == reference_lasso(twin, n, k), (n, k, step)
             assert ours.getstate() == twin.getstate(), (n, k)
 
 
