@@ -15,7 +15,9 @@ from .loops import (
     Budget,
     _chain_flags,
     _edge_graph,
+    _loopable_scc,
     _spans,
+    _state_graph,
     least_spanning,
     loopable_state_sets,
     loopable_transition_sets,
@@ -168,7 +170,15 @@ def _quotient(view: ParityView) -> Quotient:
     ids = {b: i for i, b in enumerate(discovered)}
     rows = tuple(tuple(ids[t] for t in succ(b)) for b in discovered)
     q_structure = TransitionStructure(structure.alphabet, len(ids), 0, rows)
-    reps = tuple(shortest_word_to(q_structure, 0, c) for c in range(len(ids)))
+    # the shortlex-least word to each class, from the same breadth-first
+    # order: classes are numbered as found, symbols in alphabet order, and
+    # the first discovery wins
+    words = {0: ()}
+    for c, row in enumerate(rows):
+        for sym, d in zip(structure.alphabet.symbols, row):
+            if d not in words:
+                words[d] = words[c] + (sym,)
+    reps = tuple(words[c] for c in range(len(rows)))
     projection = {q: ids[b] for q, b in block_of.items()}
     classes = tuple(frozenset(blocks[b]) for b in discovered)
     return Quotient(q_structure, projection, reps, classes)
@@ -521,24 +531,28 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     )
 
 
-def trivial_decomposition(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY):
+def trivial_decomposition(acceptor: Acceptor):
     """Finite-word acceptors R_i decomposing a trivial-congruence language.
 
     The language then equals the union over i of: all words, followed by an
-    infinite concatenation of R_i blocks.
+    infinite concatenation of R_i blocks.  Each table entry is tested on
+    its own: it contributes a block acceptor only when it lies among the
+    reachable states and is strongly connected by its own transitions, as
+    only then can it be a run's infinity set.
     """
     if not isinstance(acceptor.acceptance, MullerStates):
         raise NotMuller("convert to a state-table acceptor first")
     if not is_trivial(acceptor):
         raise NotTrivial("right congruence has more than one class")
     structure = acceptor.structure
-    loopable = {s for s, _ in loopable_state_sets(structure, capacity)}
+    succ, pred = _state_graph(structure)
+    reachable = structure.reachable_states()
     out = []
     for entry in sorted(acceptor.acceptance.table, key=sorted):
-        if entry not in loopable:
-            continue  # unrealizable table entries contribute nothing
         anchor = min(entry)
-        out.append(_cycle_dfa(structure, entry, anchor))
+        mask = sum(1 << q for q in entry)
+        if entry <= reachable and _loopable_scc(succ, pred, anchor, mask) == mask:
+            out.append(_cycle_dfa(structure, entry, anchor))
     return out
 
 

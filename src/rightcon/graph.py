@@ -7,9 +7,9 @@ so its results do not depend on hash order.
 
 The SCCs are those of the parity pair product's threshold subgraphs.  The
 breadth-first searches serve reachable states, the partition's state
-order, the quotient and its representatives, refinement, the counting
-witness, trivial-decomposition blocks, subset and product constructions,
-lasso spokes, covering walks and the paths inside a product SCC.
+order, the quotient, refinement, the counting witness,
+trivial-decomposition blocks, subset and product constructions, lasso
+spokes, covering walks and the paths inside a product SCC.
 """
 
 from __future__ import annotations

@@ -23,8 +23,10 @@ class ProfileMonoid:
     (`LoopVerdicts`, `_on_cycles`), not from the word.  The elements are
     those of the breadth-first closure `_closure` on numbered (target, key)
     cells, drained whole, in the order it finds them; the shortlex-least
-    word of each is its representative.  `by_key` maps each element's
-    (targets, keys) to its index.
+    word of each is its representative.  The closure codes an element by
+    its cells, as bytes while at most 256 cells and states exist and as a
+    tuple past that; either way each element is a `Profile` of tuples.
+    `by_key` maps each element's (targets, keys) to its index.
 
     `right[i][a]` is elements[i] followed by letter a, whose element is
     `letters[a]`.  Profiles form a congruence, so walking `right` from i
@@ -59,9 +61,11 @@ class _Cells(dict):
 
 class _Step(dict):
     """One letter's map from cell to cell, (t, k) to (targets[t], join(k,
-    keys[t])), computed on first use."""
+    keys[t])): the steps numbered so far, and the rest computed on first
+    use."""
 
-    def __init__(self, cells: _Cells, targets, keys, join):
+    def __init__(self, cells: _Cells, targets, keys, join, numbered):
+        super().__init__(enumerate(numbered))
         self.cells, self.targets, self.keys, self.join = cells, targets, keys, join
 
     def __missing__(self, c: int) -> int:
@@ -75,50 +79,91 @@ def _closure(acceptor: Acceptor, capacity: int, letters: list, right: list):
     """Yield each element of the profile monoid when it is first found.
 
     Each (target, key) pair met is numbered once as a cell, and an element
-    is coded as the tuple of its cells, one per source state.  The letters
-    come first, keyed on single transitions.  Then each element, in the
-    order found, is extended by each letter a through a's step table,
-    which sends cell (t, k) to (delta(t, a), `Acceptance.join(k,
-    keys_a[t])`); a product is looked up by its code before a Profile is
-    built for it from its cells.  Fills `letters` with each letter's
-    element index and `right` with each extended element's row, so a
-    consumer that stops early leaves them partial.
+    is coded by its cells, one per source state.  Letter a steps cell
+    (t, k) to (delta(t, a), `Acceptance.join(k, keys_a[t])`).  The letters
+    come first, keyed on single transitions, so an answer among them pays
+    for no more.  Then the cells their steps reach are numbered breadth
+    first, until there are more than 256, and the codec is picked.  While a byte names every cell and every state, a
+    code is the bytes of its cells, each letter's steps and the cells'
+    targets are 256-byte tables, and a product is one `bytes.translate`.
+    Past that, a code is the tuple of its cells, stepped cell by cell
+    through `_Step`, which computes the steps not yet numbered on first
+    use.  Each element, in the order found, is extended by each letter,
+    and a product is looked up by its code before a Profile is built for
+    it from its cells.  Fills `letters` with each letter's element index
+    and `right` with each extended element's row, so a consumer that stops
+    early leaves them partial.
     """
     acceptance = acceptor.acceptance
+    join = acceptance.join
     delta = acceptor.structure.delta
+    symbols = acceptor.alphabet.symbols
     cells = _Cells()
-    codes: list[tuple] = []
+    target, key = cells.target, cells.key
+    codes: list = []
     representatives: list[tuple] = []
     index: dict = {}
 
-    def add(code, representative) -> Profile:
+    def add(code, representative):
         if len(codes) >= capacity:
             raise CapacityExceeded("profile monoid", capacity)
         index[code] = len(codes)
         codes.append(code)
         representatives.append(representative)
-        return Profile(tuple(map(cells.target.__getitem__, code)), tuple(map(cells.key.__getitem__, code)), representative)
 
-    steps = []
-    for a, sym in enumerate(acceptor.alphabet.symbols):
+    moves = []
+    for a, sym in enumerate(symbols):
         targets = tuple(row[a] for row in delta)
         keys = tuple(
             acceptance.loop_key(frozenset([t]), frozenset([(q, sym, t)]))
             for q, t in enumerate(targets)
         )
-        steps.append((sym, _Step(cells, targets, keys, acceptance.join).__getitem__))
+        moves.append((targets, keys))
         code = tuple(map(cells.__getitem__, zip(targets, keys)))
         if code not in index:
-            yield add(code, (sym,))
+            add(code, (sym,))
+            yield Profile(targets, keys, (sym,))
         letters.append(index[code])
+    # number the cells breadth first while a byte can name each cell and
+    # each state; rows[a][c] is letter a's step from cell c
+    limit = 256 if len(delta) <= 256 else 0
+    rows: list[list[int]] = [[] for _ in moves]
+    c = 0
+    while c < len(target) <= limit:
+        t, k = target[c], key[c]
+        for row, (targets, keys) in zip(rows, moves):
+            row.append(cells[targets[t], join(k, keys[t])])
+        c += 1
+    if len(target) <= limit:
+        tables = [bytes(row).ljust(256, b"\0") for row in rows]
+        target_table = bytes(target).ljust(256, b"\0")
+        codes[:] = map(bytes, codes)
+        index.clear()
+        index.update(zip(codes, range(len(codes))))
+        multiply = bytes.translate
+
+        def targets_of(code):
+            return tuple(code.translate(target_table))
+    else:
+        tables = [_Step(cells, *move, join, row).__getitem__ for move, row in zip(moves, rows)]
+
+        def multiply(code, step):
+            return tuple(map(step, code))
+
+        def targets_of(code):
+            return tuple(map(target.__getitem__, code))
+
     # breadth-first: elements are extended in the order they are found
+    products = list(zip(symbols, tables))
     for code, representative in zip(codes, representatives):
         row = []
-        for sym, step in steps:
-            product = tuple(map(step, code))
+        for sym, table in products:
+            product = multiply(code, table)
             i = index.get(product)
             if i is None:
-                yield add(product, representative + (sym,))
+                word = representative + (sym,)
+                add(product, word)
+                yield Profile(targets_of(product), tuple(map(key.__getitem__, product)), word)
                 i = len(codes) - 1
             row.append(i)
         right.append(row)

@@ -207,28 +207,29 @@ def naive_profile(acceptor, word):
 
 
 def naive_monoid(acceptor):
-    """(representatives, letters, right) of the profile monoid, by a
-    breadth-first search over words: each word's (targets, keys) is
+    """(elements, letters, right) of the profile monoid, by a breadth-first
+    search over words in alphabet order: each word's (targets, keys) is
     simulated with naive_profile, a word is kept when no kept word has its
-    profile, and kept words are extended by each letter in alphabet order.
-    `right[i][a]` is the index of the profile of representative i followed
-    by letter a."""
+    profile, and kept words are extended by each letter in turn.  Each
+    element is (targets, keys, word) for the first word found with that
+    profile; `right[i][a]` is the index of the profile of element i's word
+    followed by letter a."""
     symbols = acceptor.alphabet.symbols
     index: dict = {}
-    words: list = []
+    elements: list = []
 
     def find(word):
         profile = naive_profile(acceptor, word)
         if profile not in index:
-            index[profile] = len(words)
-            words.append(word)
+            index[profile] = len(elements)
+            elements.append(profile + (word,))
         return index[profile]
 
     letters = [find((sym,)) for sym in symbols]
     right = []
-    for word in words:  # grows while it is read
+    for _, _, word in elements:  # grows while it is read
         right.append([find(word + (sym,)) for sym in symbols])
-    return words, letters, right
+    return elements, letters, right
 
 
 # ------------------------------------------------------ naive loop sets

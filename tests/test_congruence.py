@@ -31,7 +31,7 @@ from rightcon.cli import main
 from rightcon.congruence import partition_language_equivalent
 from rightcon.dfa import Dfa
 from rightcon.errors import CapacityExceeded, NotMuller, NotTrivial
-from rightcon.model import Alphabet, alphabet
+from rightcon.model import Alphabet, alphabet, make_structure, muller
 from rightcon.ops import combine
 
 from helpers import (
@@ -473,19 +473,28 @@ class TestClassify:
         assert checked >= 30
 
 
+def _L2_padded():
+    """L2 with table entries that no run has as its infinity set: {0} and
+    {0, 1} are not strongly connected, and {3}, a state looping on both
+    letters, is unreachable."""
+    d = {(q, sym): 1 if sym == "a" else 2 for q in range(3) for sym in "ab"}
+    d[3, "a"] = d[3, "b"] = 3
+    return validate(make_structure(alphabet("a", "b"), 4, 0, d), muller([1], [2], [0], [0, 1], [3]))
+
+
 class TestTrivialDecomposition:
     def test_L2(self):
-        dfas = trivial_decomposition(fixture("L2"))
-        words = [d.enumerate_words(4) for d in dfas]
-        assert words == [
-            [("a",), ("a", "a"), ("a", "a", "a"), ("a", "a", "a", "a")],
-            [("b",), ("b", "b"), ("b", "b", "b"), ("b", "b", "b", "b")],
-        ]
+        for a in (fixture("L2"), _L2_padded()):
+            dfas = trivial_decomposition(a)
+            words = [d.enumerate_words(4) for d in dfas]
+            assert words == [
+                [("a",), ("a", "a"), ("a", "a", "a"), ("a", "a", "a", "a")],
+                [("b",), ("b", "b"), ("b", "b", "b"), ("b", "b", "b", "b")],
+            ]
 
     def test_block_words_loop_into_accepting_lassos(self):
         rng = random.Random(13)
-        for name in ("L2", "fig2_M", "fig7_M3"):
-            a = fixture(name)
+        for name, a in [(name, fixture(name)) for name in ("L2", "fig2_M", "fig7_M3")] + [("L2 padded", _L2_padded())]:
             dfas = trivial_decomposition(a)
             assert dfas
             for d in dfas:

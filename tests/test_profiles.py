@@ -21,7 +21,7 @@ from rightcon import (
     rightcon_quotient,
 )
 from rightcon.errors import CapacityExceeded
-from rightcon.model import Alphabet, Profile
+from rightcon.model import Alphabet, Profile, buchi, make_structure, validate
 from rightcon.profiles import (
     MONOID_CAPACITY,
     _aperiodic,
@@ -87,6 +87,15 @@ def _visited_sets(rng, a, draws):
         trans_pools += sorted(a.acceptance.table, key=sorted)
     for _ in range(draws):
         yield _subset(rng, rng.choice(state_pools)), _subset(rng, rng.choice(trans_pools))
+
+
+def _assert_naive_monoid(name, a):
+    """Check profile_monoid(a) against helpers.naive_monoid; returns its
+    elements as (targets, keys, representative)."""
+    m = profile_monoid(a)
+    elements = [(e.targets, e.keys, e.representative) for e in m.elements]
+    assert (elements, m.letters, m.right) == naive_monoid(a), name
+    return elements
 
 
 def _power_cycle(m, i):
@@ -252,17 +261,31 @@ class TestProfileMonoid:
                     next(stream)
 
     def test_closure_matches_the_naive_monoid(self):
-        # the same representatives in the same order, and the same letters
-        # and right table, as a breadth-first search over simulated words
+        # the same elements (targets, keys, representative) in the same
+        # order, and the same letters and right table, as a breadth-first
+        # search over simulated words
         rng = random.Random("profiles/naive_monoid")
         inputs = all_fixtures()
         inputs += [(f"{n}/nc/{i}", random_dma(n, f"nc/{i}")) for n in (3, 4, 5) for i in range(20)]
         for kind in ACCEPTANCE_KINDS:
             inputs += [(f"{kind}/{i}", random_acceptor(rng, max_states=4, kinds=(kind,))) for i in range(6)]
         for name, a in inputs:
-            letters, right = [], []
-            representatives = [e.representative for e in _closure(a, MONOID_CAPACITY, letters, right)]
-            assert (representatives, letters, right) == naive_monoid(a), name
+            _assert_naive_monoid(name, a)
+
+    def test_closure_matches_the_naive_monoid_past_the_byte_limit(self):
+        # (label, acceptor, cells) on both sides of the 256-cell limit of
+        # the closure's byte codes; past it the codes are tuples
+        wide = [
+            (f"tmuller/c/{i}", convert(random_dma(4, f"c/{i}"), "tmuller"), cells)
+            for i, cells in ((14, 245), (114, 263), (22, 301))
+        ]
+        # 300 states but 3 cells: a byte cannot name the targets
+        ab = Alphabet(("a", "b"))
+        tall = make_structure(ab, 300, 0, {(q, s): 299 - (s == "b") for q in range(300) for s in "ab"})
+        wide.append(("300 states", validate(tall, buchi(299)), 3))
+        for name, a, cells in wide:
+            elements = _assert_naive_monoid(name, a)
+            assert len({cell for t, k, _ in elements for cell in zip(t, k)}) == cells, name
 
     def test_transition_muller_monoid_stays_small(self):
         # keyed on full visited-transition sets, this acceptor's monoid
