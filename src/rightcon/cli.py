@@ -10,7 +10,7 @@ from .errors import CapacityExceeded, ParseError, RightconError
 from .fixtures import fixture, fixture_names, wagner_family
 from .lab import ExperimentConfig, random_dma, run_experiment
 from .loops import alternation_measure
-from .model import Acceptor, MullerStates
+from .model import Acceptor, Buchi, CoBuchi, MullerStates, MullerTransitions, Parity
 from .oaf import format_lasso, parse_lasso, parse_oaf, print_oaf
 from .ops import combine, complement, equivalent
 from .profiles import _is_non_counting, _is_respective
@@ -93,8 +93,6 @@ def _cmd_classify(args):
 
 
 def _describe_acceptance(acc) -> str:
-    from .model import Buchi, CoBuchi, MullerTransitions, Parity
-
     if isinstance(acc, Buchi):
         return "buchi " + " ".join(map(str, sorted(acc.accepting)))
     if isinstance(acc, CoBuchi):

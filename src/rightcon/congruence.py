@@ -18,6 +18,7 @@ from .loops import (
     _loopable_scc,
     _spans,
     _state_graph,
+    inner_transitions,
     least_spanning,
     loopable_state_sets,
     loopable_transition_sets,
@@ -329,12 +330,12 @@ def _parity_classes(structure: TransitionStructure, table: MullerStates, flags, 
             counterexamples[flag] = (evidence, core)
 
 
-def _verdict_groups(key_fn, sets, verdicts) -> dict:
-    """The (state set, transition set) pairs of `sets` by key, then by
-    their verdict in `verdicts`, in the order of `sets`."""
+def _verdict_groups(keys, loops, verdicts) -> dict:
+    """The loop sets `loops` by their key in `keys`, then by their verdict
+    in `verdicts`, in the order of `loops`."""
     groups: dict = {}
-    for pair, verdict in zip(sets, verdicts):
-        groups.setdefault(key_fn(*pair), {}).setdefault(verdict, []).append(pair)
+    for key, loop, verdict in zip(keys, loops, verdicts):
+        groups.setdefault(key, {}).setdefault(verdict, []).append(loop)
     return groups
 
 
@@ -342,9 +343,9 @@ class _LoopImage:
     """A loopable state set's internal transitions, sorted, with their
     quotient images and the mask of the transitions over each image."""
 
-    def __init__(self, states: frozenset[int], trans: frozenset[Transition], proj: dict):
+    def __init__(self, structure: TransitionStructure, states: frozenset[int], proj: dict):
         self.states = states
-        self.edges = sorted(trans)
+        self.edges = sorted(inner_transitions(structure, states))
         self.images = [(proj[p], sym, proj[q]) for (p, sym, q) in self.edges]
         self.graph = _edge_graph(states, self.edges)
         self.masks: dict = {}
@@ -392,7 +393,7 @@ def _least_pair(options) -> tuple:
     return min(options, key=lambda pair: _size_then_sorted(pair[1]))
 
 
-def _state_conflicts(mixed: dict, proj: dict, budget: Budget) -> tuple:
+def _state_conflicts(structure: TransitionStructure, mixed: dict, proj: dict, budget: Budget) -> tuple:
     """The IT and IM conflicts of a state-based acceptance, each None or a
     pair ((states, T) accepted, (states, T) rejected).
 
@@ -405,12 +406,12 @@ def _state_conflicts(mixed: dict, proj: dict, budget: Budget) -> tuple:
     the sorted-least conflicting image, the IM conflict in the sorted-least
     group, and each side at its (size, sorted)-least spanning T.
     """
-    loop_images = {s: _LoopImage(s, t, proj) for g in mixed.values() for pairs in g.values() for s, t in pairs}
+    loop_images = {s: _LoopImage(structure, s, proj) for g in mixed.values() for sets in g.values() for s in sets}
     least_images = []
     for g in mixed.values():
-        for s1, _ in g[True]:
+        for s1 in g[True]:
             a = loop_images[s1]
-            for s2, _ in g[False]:
+            for s2 in g[False]:
                 budget.spend()
                 b = loop_images[s2]
                 common = a.masks.keys() & b.masks.keys()
@@ -425,7 +426,7 @@ def _state_conflicts(mixed: dict, proj: dict, budget: Budget) -> tuple:
         def least_over_image(verdict):
             return _least_pair(
                 loop_images[s].least(budget, image)
-                for s, _ in group[verdict]
+                for s in group[verdict]
                 if image <= loop_images[s].masks.keys() and loop_images[s].spans(image)
             )
 
@@ -433,7 +434,7 @@ def _state_conflicts(mixed: dict, proj: dict, budget: Budget) -> tuple:
     im = None
     if mixed:
         group = mixed[min(mixed, key=sorted)]
-        im = tuple(_least_pair(loop_images[s].least(budget) for s, _ in group[v]) for v in (True, False))
+        im = tuple(_least_pair(loop_images[s].least(budget) for s in group[v]) for v in (True, False))
     return it, im
 
 
@@ -458,21 +459,13 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
     structure = acceptor.structure
     acc = acceptor.acceptance
 
-    def t_key(s, t):
+    def t_key(t):
         return frozenset((proj[p], sym, proj[q]) for (p, sym, q) in t)
 
-    def s_key(s, t):
+    def s_key(s):
         return frozenset(proj[q] for q in s)
 
     ssets = loopable_state_sets(structure, capacity)
-    by_transitions = isinstance(acc, MullerTransitions)
-    # the loop sets a verdict is read from, each read once: transition sets
-    # for a transition table, state sets for every other kind
-    loops = ssets
-    if by_transitions:
-        loops = loopable_transition_sets(structure, capacity, [s for s, _ in ssets])
-    verdicts = [acc.accepts_key(acc.loop_key(s, t)) for s, t in loops]
-    im_groups = _verdict_groups(s_key, loops, verdicts)
     flags: dict = {}
     certificates: dict = {}
     counterexamples: dict = {}
@@ -489,8 +482,14 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             conflict(flag, *(_least_pair(group[v]) for v in (True, False)))
         return not conflicts
 
-    if by_transitions:
-        it_groups = _verdict_groups(t_key, loops, verdicts)
+    # the loop sets a verdict is read from, each read once: (state set,
+    # transition set) pairs for a transition table, state sets for every
+    # other kind
+    if isinstance(acc, MullerTransitions):
+        loops = loopable_transition_sets(structure, capacity, ssets)
+        verdicts = [acc.accepts_key(acc.loop_key(s, t)) for s, t in loops]
+        im_groups = _verdict_groups([s_key(s) for s, _ in loops], loops, verdicts)
+        it_groups = _verdict_groups([t_key(t) for _, t in loops], loops, verdicts)
         flags["IT"] = consistent(it_groups, "IT")
         if flags["IT"]:
             certificates["IT"] = MullerTransitions(
@@ -498,17 +497,19 @@ def classify(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Classifica
             )
         flags["IM"] = consistent(im_groups, "IM")
     else:
+        verdicts = [acc.accepts_key(acc.loop_key(s, frozenset())) for s in ssets]
+        im_groups = _verdict_groups([s_key(s) for s in ssets], ssets, verdicts)
         mixed = {k: g for k, g in im_groups.items() if len(g) > 1}
-        it, im = _state_conflicts(mixed, proj, Budget("conflict search steps", capacity))
+        it, im = _state_conflicts(structure, mixed, proj, Budget("conflict search steps", capacity))
         flags["IT"] = it is None
         if it is not None:
             conflict("IT", *it)
         else:
             # the images of the accepting transition sets, listed on the
             # first read from the accepting state sets
-            wanted = [s for (s, _), v in zip(loops, verdicts) if v]
+            wanted = [s for s, v in zip(ssets, verdicts) if v]
             certificates["IT"] = lambda: MullerTransitions(
-                frozenset(t_key(s, t) for s, t in loopable_transition_sets(structure, capacity, wanted))
+                frozenset(t_key(t) for _, t in loopable_transition_sets(structure, capacity, wanted))
             )
         flags["IM"] = im is None
         if im is not None:

@@ -3,10 +3,11 @@
 A loopable set is a reachable, strongly connected (not necessarily maximal)
 subset of states; a singleton qualifies only with a self-loop.  For
 transition-table acceptance the unit is a strongly connected transition set
-instead, so one state set may contribute several entries.  The transition
-sets are built from the state sets: each state set's spanning transition
-sets are listed once, under that state set, without any search for
-duplicates.
+instead, so one state set may contribute several entries.  A listed state
+set carries no transitions: `inner_transitions` builds a set's internal
+transitions where they are read.  The transition sets are built from the
+state sets: each state set's spanning transition sets are listed once,
+under that state set, without any search for duplicates.
 
 The structural measures (weak, DB, DC and the alternation measure) list
 no loop sets: they read the alternating cycle decomposition, `AcdTree`,
@@ -98,21 +99,25 @@ def _loopable_scc(succ, pred, v: int, mask: int) -> int:
     return comp if comp != 1 << v or (1 << v, v) in succ[v] else 0
 
 
+def inner_transitions(structure: TransitionStructure, states: frozenset[int]) -> frozenset[Transition]:
+    """The transitions of `structure` between states of `states`."""
+    return frozenset(t for q in states for t in structure.transitions_from(q) if t[2] in states)
+
+
 def loopable_state_sets(
     structure: TransitionStructure, capacity: int = DEFAULT_CAPACITY
-) -> list[tuple[frozenset[int], frozenset[Transition]]]:
-    """Enumerate reachable strongly connected state subsets, each once.
+) -> list[frozenset[int]]:
+    """Enumerate reachable strongly connected state subsets, each once, as
+    bare state sets: `inner_transitions` gives a set's transitions.
 
     Sets are state bitmasks, and each is found under its least state v: it
     lies in v's loopable SCC among the reachable states from v on.  Under a
     listed set S, the loopable sets strictly inside S that hold `kept` (v at
     first) are split by the first state q of S they miss: each lies in v's
     loopable SCC of S minus q and holds `kept` and the states of S before q.
-    The splits are disjoint, so no set is listed twice, and each listed
-    set's internal transitions are built once.
+    The splits are disjoint, so no set is listed twice.
     """
     succ, pred = _state_graph(structure)
-    outgoing = [structure.transitions_from(q) for q in range(structure.state_count)]
     reachable = sorted(structure.reachable_states())
     rest = sum(1 << q for q in reachable)
     stack = []
@@ -125,8 +130,7 @@ def loopable_state_sets(
     while stack:
         mask, kept = stack.pop()
         members = [q for q in range(mask.bit_length()) if mask >> q & 1]
-        states = frozenset(members)
-        out.append((states, frozenset(t for q in members for t in outgoing[q] if mask >> t[2] & 1)))
+        out.append(frozenset(members))
         if len(out) > capacity:
             raise CapacityExceeded("loopable state sets", capacity)
         for q in members:
@@ -143,7 +147,8 @@ def loopable_transition_sets(
     capacity: int = DEFAULT_CAPACITY,
     state_sets: Iterable[frozenset[int]] | None = None,
 ) -> list[tuple[frozenset[int], frozenset[Transition]]]:
-    """Enumerate reachable strongly connected transition subsets.
+    """Enumerate reachable strongly connected transition subsets, as
+    (state set, transition set) pairs.
 
     Each set is listed once, under its own state set S.  The sets spanning
     S strongly connected form an up-set whose top is S's internal
@@ -154,10 +159,10 @@ def loopable_transition_sets(
     the number of sets listed over all of them.
     """
     if state_sets is None:
-        state_sets = [s for s, _ in loopable_state_sets(structure, capacity)]
+        state_sets = loopable_state_sets(structure, capacity)
     out = []
     for states in state_sets:
-        edges = sorted(t for q in states for t in structure.transitions_from(q) if t[2] in states)
+        edges = sorted(inner_transitions(structure, states))
         for mask in _spanning_masks(states, edges):
             out.append((states, frozenset(e for i, e in enumerate(edges) if mask >> i & 1)))
             if len(out) > capacity:
@@ -299,10 +304,12 @@ def loopable_sets(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> LoopT
     """Full loop table of an acceptor, keyed per its acceptance kind: by
     transition set for a transition table, by state set otherwise."""
     acc = acceptor.acceptance
+    structure = acceptor.structure
     if isinstance(acc, MullerTransitions):
-        keyed_by, raw = "transitions", loopable_transition_sets(acceptor.structure, capacity)
+        keyed_by, raw = "transitions", loopable_transition_sets(structure, capacity)
     else:
-        keyed_by, raw = "states", loopable_state_sets(acceptor.structure, capacity)
+        keyed_by = "states"
+        raw = [(s, inner_transitions(structure, s)) for s in loopable_state_sets(structure, capacity)]
     entries = {}
     for states, trans in raw:
         key = trans if keyed_by == "transitions" else states
@@ -621,9 +628,7 @@ def alternation_measure(acceptor: Acceptor) -> AlternationMeasure:
     while i >= 0:
         x = nodes[i]
         states = x.states
-        trans = x.label if tree.by_transition else frozenset(
-            t for q in states for t in structure.transitions_from(q) if t[2] in states
-        )
+        trans = x.label if tree.by_transition else inner_transitions(structure, states)
         chain.append(LoopEntry(states, trans, x.priority % 2 == 1))
         i = x.parent
     return AlternationMeasure(best, polarity, tuple(chain))

@@ -56,11 +56,7 @@ def complement(acceptor: Acceptor, capacity: int = DEFAULT_CAPACITY) -> Acceptor
     if isinstance(acc, Parity):
         return Acceptor(structure, Parity(tuple(c + 1 for c in acc.colors)))
     if isinstance(acc, MullerStates):
-        table = frozenset(
-            s
-            for s, _ in loopable_state_sets(structure, capacity)
-            if s not in acc.table
-        )
+        table = frozenset(s for s in loopable_state_sets(structure, capacity) if s not in acc.table)
         return Acceptor(structure, MullerStates(table))
     table = frozenset(
         t
@@ -114,7 +110,7 @@ def combine(
     prod = product(a.structure, b.structure)
     acc_a, acc_b = a.acceptance, b.acceptance
     table = []
-    for states, _ in loopable_state_sets(prod.structure, capacity):
+    for states in loopable_state_sets(prod.structure, capacity):
         va = acc_a.accepts_key(acc_a.loop_key(frozenset(prod.pairs[q][0] for q in states), frozenset()))
         vb = acc_b.accepts_key(acc_b.loop_key(frozenset(prod.pairs[q][1] for q in states), frozenset()))
         verdict = (va or vb) if mode == "union" else (va and vb)
@@ -140,9 +136,7 @@ def convert(
         return Acceptor(structure, as_parity(acc, structure.state_count))
     if isinstance(acc, Parity) and target == "muller":
         table = frozenset(
-            s
-            for s, t in loopable_state_sets(structure, capacity)
-            if acc.accepts_key(acc.loop_key(s, t))
+            s for s in loopable_state_sets(structure, capacity) if acc.accepts_key(acc.loop_key(s, frozenset()))
         )
         return Acceptor(structure, MullerStates(table))
     if isinstance(acc, MullerStates) and target == "tmuller":

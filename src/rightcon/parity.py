@@ -78,10 +78,6 @@ class ParityView:
                 self.pri.append(priority)
         self.states = [q for q, _ in pairs]
 
-    def initial(self, q: int | None = None) -> int:
-        """The view state of automaton state q, by default the initial one."""
-        return self.acceptor.structure.initial if q is None else q
-
 
 # Most product nodes pair_product numbers before it gives up.  The catalog
 # fixtures and the benchmark inputs build at most 1,631 and the tests at
@@ -184,7 +180,11 @@ def find_discrepancy(
     The lasso reaches the first SCC `discrepant_components` yields on the
     product from (from_a, from_b) and cycles through its two edges.
     """
-    start = (view_a.initial(from_a), view_b.initial(from_b))
+    # view state q is automaton state q
+    start = (
+        view_a.acceptor.structure.initial if from_a is None else from_a,
+        view_b.acceptor.structure.initial if from_b is None else from_b,
+    )
     parent, edges = pair_product(view_a, view_b, [start])
     symbols = view_a.acceptor.alphabet.symbols
 

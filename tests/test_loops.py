@@ -25,6 +25,7 @@ from rightcon.loops import (
     Budget,
     _loopable_scc,
     _state_graph,
+    inner_transitions,
     least_spanning,
     loopable_state_sets,
     loopable_transition_sets,
@@ -119,7 +120,7 @@ class TestLoopTables:
 
     def test_singleton_needs_self_loop(self):
         a = fixture("fig3_M")
-        sets = {s for s, _ in loopable_state_sets(a.structure)}
+        sets = set(loopable_state_sets(a.structure))
         assert frozenset({0}) not in sets  # no self-loop on state 0
         assert frozenset({2}) in sets
 
@@ -156,8 +157,11 @@ class TestLoopTables:
     def test_state_sets_match_brute_force(self):
         def check(structure, tag):
             got = loopable_state_sets(structure)
-            assert len({s for s, _ in got}) == len(got), tag  # no duplicates
-            assert set(got) == set(brute_loopable_state_sets(structure)), tag
+            assert len(set(got)) == len(got), tag  # no duplicates
+            brute = brute_loopable_state_sets(structure)
+            assert set(got) == {s for s, _ in brute}, tag
+            for s, t in brute:
+                assert inner_transitions(structure, s) == t, (tag, s)
 
         for name, a in all_fixtures():
             if len(a.structure.reachable_states()) <= 12:
@@ -190,7 +194,7 @@ class TestLoopTables:
     def test_transition_sets_of_chosen_state_sets(self):
         structure = fixture("fig2_B").structure
         every = loopable_transition_sets(structure)
-        for states, _ in loopable_state_sets(structure):
+        for states in loopable_state_sets(structure):
             chosen = loopable_transition_sets(structure, state_sets=[states])
             assert chosen == [(s, t) for s, t in every if s == states]
 
@@ -210,7 +214,8 @@ class TestLeastSpanning:
 
     def test_least_spanning_set_matches_brute_force(self):
         for tag, a in self.inputs():
-            for states, trans in loopable_state_sets(a.structure):
+            for states in loopable_state_sets(a.structure):
+                trans = inner_transitions(a.structure, states)
                 assert least_spanning(states, trans) == oracle_least_spanning(states, trans), (tag, states)
 
     def test_least_spanning_set_of_an_image_matches_brute_force(self):
@@ -221,7 +226,8 @@ class TestLeastSpanning:
         for tag, a in self.inputs():
             proj = rightcon_quotient(a).projection
             by_states: dict = {}
-            for states, trans in loopable_state_sets(a.structure):
+            for states in loopable_state_sets(a.structure):
+                trans = inner_transitions(a.structure, states)
                 labels = {(p, sym, q): (proj[p], sym, proj[q]) for (p, sym, q) in trans}
                 by_states.setdefault(frozenset(proj[q] for q in states), []).append((states, labels))
             for group in by_states.values():
@@ -246,7 +252,8 @@ class TestLeastSpanning:
         assert least_spanning(frozenset(range(n)), edges) == {(q, "a", (q + 1) % n) for q in range(n)}
 
     def test_small_capacity_stops_the_search(self):
-        sets = loopable_state_sets(random_dma(8, "c/10").structure)
+        structure = random_dma(8, "c/10").structure
+        sets = [(s, inner_transitions(structure, s)) for s in loopable_state_sets(structure)]
         states, trans = max(sets, key=lambda pair: (len(pair[1]), sorted(pair[1])))
         assert least_spanning(states, trans) is not None
         with pytest.raises(CapacityExceeded):
